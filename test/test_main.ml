@@ -28,4 +28,5 @@ let () =
          Test_xshard.suite;
          Test_reshard.suite;
          Test_overload.suite;
+         Test_golden.suite;
        ])
