@@ -48,10 +48,6 @@ type obs = {
   mutable o_footprint : string list;  (* from the replayed ops, commit only *)
 }
 
-let fp_intersect a b =
-  a <> [] && b <> []
-  && (List.mem "*" a || List.mem "*" b || List.exists (fun k -> List.mem k b) a)
-
 let check ?(require_resolved = false) ~is_cross_tid ~footprint_of
     (histories : (int * request list * string) list array) : violation list =
   let groups = Array.length histories in
@@ -173,7 +169,7 @@ let check ?(require_resolved = false) ~is_cross_tid ~footprint_of
       | (t1, _, fp1) :: rest ->
         List.iter
           (fun (t2, _, fp2) ->
-            if t1 <> t2 && fp_intersect fp1 fp2 then
+            if t1 <> t2 && Grid_paxos.Footprint.(intersects (Keys fp1) (Keys fp2)) then
               Hashtbl.replace edges t1
                 (t2 :: Option.value ~default:[] (Hashtbl.find_opt edges t1)))
           rest;

@@ -2,6 +2,7 @@ module Wire = Grid_codec.Wire
 module Wire_intf = Grid_codec.Wire_intf
 
 exception Closed
+exception Too_large of int
 
 type read_error = Eof | Corrupt of { pos : int; msg : string }
 
@@ -41,7 +42,7 @@ let really_read_exn fd n =
 let write_frame fd payload =
   let framed = Wire.with_crc payload in
   let len = String.length framed in
-  if len > max_frame then invalid_arg "Framing.write_frame: frame too large";
+  if len > max_frame then raise (Too_large len);
   let hdr = Bytes.create 4 in
   Bytes.set hdr 0 (Char.chr (len land 0xFF));
   Bytes.set hdr 1 (Char.chr ((len lsr 8) land 0xFF));

@@ -15,6 +15,10 @@
 exception Closed
 (** Raised by writes on EOF or a closed peer. *)
 
+exception Too_large of int
+(** Raised by writes, before anything reaches the socket, for a frame
+    longer than {!max_frame}; carries the frame length. *)
+
 type read_error =
   | Eof  (** peer closed the connection cleanly, between frames *)
   | Corrupt of { pos : int; msg : string }
@@ -29,7 +33,8 @@ val max_frame : int
 val write_frame : Unix.file_descr -> string -> int
 (** Write one frame (payload without CRC; the trailer is added here) and
     return the bytes put on the wire (header + payload + CRC). Raises
-    {!Closed} / [Unix.Unix_error] on socket errors. *)
+    {!Too_large} for an oversized frame and {!Closed} /
+    [Unix.Unix_error] on socket errors. *)
 
 val read_frame : Unix.file_descr -> (string, read_error) result
 (** Read one frame, verify the CRC, and return the payload. *)

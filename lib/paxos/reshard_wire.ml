@@ -72,17 +72,6 @@ type participant = {
   p_imported : int;  (** total items absorbed via INSTALL commits *)
 }
 
-let empty_participant =
-  {
-    p_epoch = 0;
-    p_map = "";
-    p_frozen = None;
-    p_installed = None;
-    p_moved = [];
-    p_aborted = [];
-    p_imported = 0;
-  }
-
 let encode_participant p =
   Wire.encode (fun e ->
       Wire.Encoder.uint e p.p_epoch;
@@ -139,26 +128,15 @@ let decode_participant s =
       let p_imported = Wire.Decoder.uint d in
       { p_epoch; p_map; p_frozen; p_installed; p_moved; p_aborted; p_imported })
 
-(** Range membership for [Wrong_epoch]/freeze checks: footprint key [k]
-    falls in [\[lo, hi)]. *)
-let in_range ~lo ~hi k =
-  String.compare k lo >= 0
-  && match hi with None -> true | Some h -> String.compare k h < 0
-
 (** Subtract [\[lo, hi)] from every range in the list. An imported range
     restores ownership of whatever part of a previously handed-away
     range it covers — the two transitions need not share cut points (a
     merge can bring back a wider range than the split that left). *)
 let range_subtract ranges ~lo ~hi =
   let lt a b = String.compare a b < 0 in
-  let le a b = String.compare a b <= 0 in
   List.concat_map
     (fun (l, h) ->
-      let disjoint =
-        (match hi with Some ih -> le ih l | None -> false)
-        || match h with Some h -> le h lo | None -> false
-      in
-      if disjoint then [ (l, h) ]
+      if not (Footprint.intersects (Range (lo, hi)) (Range (l, h))) then [ (l, h) ]
       else
         let left = if lt l lo then [ (l, Some lo) ] else [] in
         let right =
@@ -172,13 +150,3 @@ let range_subtract ranges ~lo ~hi =
         in
         left @ right)
     ranges
-
-(** Does a request footprint intersect any of [ranges]? A ["*"]
-    footprint intersects every nonempty range set (it touches keys this
-    group may no longer own). *)
-let footprint_hits ranges fps =
-  ranges <> [] && fps <> []
-  && (List.mem "*" fps
-     || List.exists
-          (fun k -> List.exists (fun (lo, hi) -> in_range ~lo ~hi k) ranges)
-          fps)

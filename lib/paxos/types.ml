@@ -92,26 +92,42 @@ let rtype_tag = function
   | Reshard_commit _ -> 9
   | Reshard_abort _ -> 10
 
-let pp_rtype ppf = function
-  | Read -> Format.pp_print_string ppf "read"
-  | Write -> Format.pp_print_string ppf "write"
-  | Original -> Format.pp_print_string ppf "original"
-  | Txn_op t -> Format.fprintf ppf "txn_op(%d)" t
-  | Txn_commit t -> Format.fprintf ppf "txn_commit(%d)" t
-  | Txn_abort t -> Format.fprintf ppf "txn_abort(%d)" t
-  | Txn_prepare t -> Format.fprintf ppf "txn_prepare(%d)" t
-  | Reshard_freeze e -> Format.fprintf ppf "reshard_freeze(%d)" e
-  | Reshard_install e -> Format.fprintf ppf "reshard_install(%d)" e
-  | Reshard_commit e -> Format.fprintf ppf "reshard_commit(%d)" e
-  | Reshard_abort e -> Format.fprintf ppf "reshard_abort(%d)" e
+(* Constant labels: returning string literals keeps instrumented paths
+   (e.g. [Leader_receive] span details) allocation-free. *)
+let rtype_label = function
+  | Read -> "read"
+  | Write -> "write"
+  | Original -> "original"
+  | Txn_op _ -> "txn_op"
+  | Txn_commit _ -> "txn_commit"
+  | Txn_abort _ -> "txn_abort"
+  | Txn_prepare _ -> "txn_prepare"
+  | Reshard_freeze _ -> "reshard_freeze"
+  | Reshard_install _ -> "reshard_install"
+  | Reshard_commit _ -> "reshard_commit"
+  | Reshard_abort _ -> "reshard_abort"
+
+(* The transaction id or map epoch a request belongs to. *)
+let rtype_arg = function
+  | Read | Write | Original -> None
+  | Txn_op t | Txn_commit t | Txn_abort t | Txn_prepare t | Reshard_freeze t
+  | Reshard_install t | Reshard_commit t | Reshard_abort t ->
+    Some t
+
+let carries_op = function
+  | Read | Write | Original | Txn_op _ -> true
+  | _ -> false
+
+let changes_state = function Write | Original | Txn_op _ -> true | _ -> false
+
+let pp_rtype ppf rt =
+  match rtype_arg rt with
+  | None -> Format.pp_print_string ppf (rtype_label rt)
+  | Some t -> Format.fprintf ppf "%s(%d)" (rtype_label rt) t
 
 let encode_rtype e rt =
   Wire.Encoder.uint e (rtype_tag rt);
-  match rt with
-  | Read | Write | Original -> ()
-  | Txn_op t | Txn_commit t | Txn_abort t | Txn_prepare t -> Wire.Encoder.uint e t
-  | Reshard_freeze t | Reshard_install t | Reshard_commit t | Reshard_abort t ->
-    Wire.Encoder.uint e t
+  Option.iter (Wire.Encoder.uint e) (rtype_arg rt)
 
 let decode_rtype d =
   match Wire.Decoder.uint d with

@@ -60,6 +60,19 @@ type rtype =
   | Reshard_abort of int
 
 val rtype_tag : rtype -> int
+
+val rtype_label : rtype -> string
+(** ["read"], ["txn_commit"], …: a constant string per constructor. *)
+
+val carries_op : rtype -> bool
+(** The payload is an encoded service op: [Read], [Write], [Original],
+    [Txn_op]. The other payloads are protocol envelopes (op counts,
+    prepared branches, reshard envelopes and maps). *)
+
+val changes_state : rtype -> bool
+(** A committed request of this type applies its op to the service
+    state: [Write], [Original], [Txn_op]. *)
+
 val pp_rtype : Format.formatter -> rtype -> unit
 val encode_rtype : Grid_codec.Wire.Encoder.t -> rtype -> unit
 val decode_rtype : Grid_codec.Wire.Decoder.t -> rtype

@@ -202,14 +202,11 @@ let patch st s =
    keys ("kv/" ^ entry key), since cut points live in the partition
    map's key vocabulary; entries are stored under the raw key. *)
 
-let in_range ~lo ~hi fk =
-  String.compare fk lo >= 0
-  && match hi with None -> true | Some h -> String.compare fk h < 0
-
 let export_range st ~lo ~hi =
   let slice =
     Smap.fold
-      (fun k v acc -> if in_range ~lo ~hi ("kv/" ^ k) then (k, v) :: acc else acc)
+      (fun k v acc ->
+        if Grid_paxos.Footprint.in_range (lo, hi) ("kv/" ^ k) then (k, v) :: acc else acc)
       st.entries []
   in
   let slice = List.rev slice in

@@ -574,6 +574,96 @@ let test_loopback_duplicate_request () =
           in
           wait_converged ()))
 
+(* ------------------------------------------------------------------ *)
+(* Transport robustness *)
+
+module Kv = Grid_services.Kv_store
+module Tcp_kv = Grid_net.Tcp_node.Make (Kv)
+
+(* The value of one counter in a Prometheus exposition. *)
+let metric_value text name =
+  List.find_map
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [ n; v ] when n = name -> int_of_string_opt v
+      | _ -> None)
+    (String.split_on_char '\n' text)
+
+(* Without SIGPIPE ignored, a write to a peer that died kills the whole
+   process. Creating a node ignores it, so the write fails with EPIPE,
+   which the send path handles by dropping the connection. *)
+let test_sigpipe_ignored () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_default;
+  let nowhere = Unix.ADDR_INET (Unix.inet_addr_loopback, free_port ()) in
+  let client = Tcp.start_client ~id:7 ~replicas:[ (0, nowhere) ] () in
+  Tcp.stop_client client;
+  let previous = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Alcotest.(check bool) "node creation ignores SIGPIPE" true (previous = Sys.Signal_ignore);
+  let a, b = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
+  Unix.close b;
+  Fun.protect
+    ~finally:(fun () -> Unix.close a)
+    (fun () ->
+      match Framing.write_frame a "to a dead peer" with
+      | _ -> Alcotest.fail "write to a closed peer succeeded"
+      | exception Unix.Unix_error (EPIPE, _, _) -> ()
+      | exception Framing.Closed -> ())
+
+(* A message whose frame exceeds [Framing.max_frame] is dropped and
+   counted; the sender's event loop and its connection survive. The
+   oversized request stays outstanding at its client, so the loop's own
+   retransmissions — each dropped and counted again — show it is still
+   running, and a second client shows the cluster still serves. *)
+let test_oversized_frame_dropped () =
+  let port = free_port () in
+  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+  let cfg = Config.make ~n:1 ~hb_period_ms:10.0 ~suspicion_ms:60.0 ~stability_ms:20.0 () in
+  let replica = Tcp_kv.start_replica ~cfg ~id:0 ~port ~peers:[] () in
+  Fun.protect
+    ~finally:(fun () -> Tcp_kv.stop_replica replica)
+    (fun () ->
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      while (not (Tcp_kv.replica_is_leader replica)) && Unix.gettimeofday () < deadline do
+        Thread.delay 0.02
+      done;
+      let put c value =
+        Tcp_kv.call_op c (Kv.Put { key = "k"; value }) ~timeout_s:5.0
+      in
+      let big = Tcp_kv.start_client ~id:1 ~replicas:[ (0, addr) ] ~retry_ms:50.0 () in
+      Fun.protect
+        ~finally:(fun () -> Tcp_kv.stop_client big)
+        (fun () ->
+          (match put big "warm-up" with
+          | Some r -> Alcotest.(check bool) "warm-up ok" true (r.status = Ok)
+          | None -> Alcotest.fail "warm-up timed out");
+          let huge = String.make (Framing.max_frame + 1) 'x' in
+          Alcotest.(check bool) "oversized request gets no reply" true
+            (Tcp_kv.call_op big (Kv.Put { key = "k"; value = huge }) ~timeout_s:0.3 = None);
+          let dropped () =
+            Option.value ~default:0
+              (metric_value (Grid_obs.Metrics.expose (Tcp_kv.client_metrics big))
+                 "grid_net_oversized_dropped_total")
+          in
+          let await_drops n =
+            let deadline = Unix.gettimeofday () +. 10.0 in
+            while dropped () < n && Unix.gettimeofday () < deadline do
+              Thread.delay 0.02
+            done;
+            dropped () >= n
+          in
+          Alcotest.(check bool) "drop counted" true (await_drops 1);
+          Alcotest.(check bool) "the loop keeps retransmitting" true
+            (await_drops (dropped () + 1));
+          Alcotest.(check int) "connection kept" 1
+            (List.length (Tcp_kv.client_peer_versions big)));
+      let small = Tcp_kv.start_client ~id:2 ~replicas:[ (0, addr) ] () in
+      Fun.protect
+        ~finally:(fun () -> Tcp_kv.stop_client small)
+        (fun () ->
+          match put small "small" with
+          | Some r -> Alcotest.(check bool) "cluster still serves" true (r.status = Ok)
+          | None -> Alcotest.fail "write after the oversized one timed out"))
+
 let suite =
   [
     ( "net.framing",
@@ -595,5 +685,8 @@ let suite =
           test_loopback_duplicate_request;
         Alcotest.test_case "sniff classifies dribbling clients" `Slow
           test_sniff_dribbling_clients;
+        Alcotest.test_case "SIGPIPE ignored" `Quick test_sigpipe_ignored;
+        Alcotest.test_case "oversized frame dropped, loop survives" `Slow
+          test_oversized_frame_dropped;
       ] );
   ]

@@ -3,7 +3,6 @@
 module Rng = Grid_util.Rng
 module Stats = Grid_util.Stats
 module Bitset = Grid_util.Bitset
-module Ring_buffer = Grid_util.Ring_buffer
 module Text_table = Grid_util.Text_table
 module Ids = Grid_util.Ids
 
@@ -330,37 +329,6 @@ let prop_bitset_union_inter =
       && Bitset.to_list (Bitset.inter bx by) = S.elements (S.inter sx sy))
 
 (* ------------------------------------------------------------------ *)
-(* Ring buffer *)
-
-let test_ring_basic () =
-  let r = Ring_buffer.create 3 in
-  Ring_buffer.push r 1;
-  Ring_buffer.push r 2;
-  Alcotest.(check (list int)) "partial" [ 1; 2 ] (Ring_buffer.to_list r);
-  Ring_buffer.push r 3;
-  Ring_buffer.push r 4;
-  Alcotest.(check (list int)) "evicted oldest" [ 2; 3; 4 ] (Ring_buffer.to_list r);
-  Alcotest.(check (option int)) "latest" (Some 4) (Ring_buffer.latest r);
-  Alcotest.(check bool) "full" true (Ring_buffer.is_full r);
-  Ring_buffer.clear r;
-  Alcotest.(check int) "cleared" 0 (Ring_buffer.length r)
-
-let prop_ring_keeps_suffix =
-  QCheck2.Test.make ~name:"ring buffer keeps last k" ~count:200
-    QCheck2.Gen.(pair (int_range 1 10) (list int))
-    (fun (cap, xs) ->
-      let r = Ring_buffer.create cap in
-      List.iter (Ring_buffer.push r) xs;
-      let n = List.length xs in
-      let expected = List.filteri (fun i _ -> i >= n - cap) xs in
-      Ring_buffer.to_list r = expected)
-
-let test_ring_fold () =
-  let r = Ring_buffer.create 4 in
-  List.iter (Ring_buffer.push r) [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check int) "fold sum" 14 (Ring_buffer.fold ( + ) 0 r)
-
-(* ------------------------------------------------------------------ *)
 (* Text table *)
 
 let test_table_render () =
@@ -448,10 +416,6 @@ let suite =
       :: Alcotest.test_case "idempotent set" `Quick test_bitset_set_idempotent
       :: Alcotest.test_case "bounds" `Quick test_bitset_bounds
       :: qcheck [ prop_bitset_roundtrip; prop_bitset_union_inter ] );
-    ( "util.ring_buffer",
-      Alcotest.test_case "basics" `Quick test_ring_basic
-      :: Alcotest.test_case "fold" `Quick test_ring_fold
-      :: qcheck [ prop_ring_keeps_suffix ] );
     ( "util.text_table",
       [
         Alcotest.test_case "render" `Quick test_table_render;
