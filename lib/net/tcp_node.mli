@@ -33,6 +33,13 @@
     drop the connection (a byte stream cannot be resynchronized after a
     bad frame); the next send redials.
 
+    A message whose frame would exceed {!Framing.max_frame} is dropped
+    before any byte is written and counted in
+    [grid_net_oversized_dropped_total]; the connection and the event
+    loop carry on. Creating a node sets SIGPIPE to ignored, so a write
+    to a peer that died fails with [EPIPE] and drops only that
+    connection.
+
     Each replica's listening port doubles as a plaintext admin endpoint:
     the accept loop peeks the first bytes of a new connection and routes
     HTTP methods ([GET]/[HEAD]/[POST]) to a minimal HTTP/1.0 responder

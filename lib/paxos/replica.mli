@@ -73,6 +73,9 @@ module Make (S : Service_intf.S) : sig
       feeding inputs. *)
 
   val handle : t -> now:float -> Types.input -> Types.action list
+  (** A client request whose payload the service cannot decode is
+      refused on arrival with a final [Txn_aborted] reply; it takes no
+      queue slot and no dedup entry. *)
 
   val restart : t -> now:float -> Types.action list
   (** Simulate a crash-recovery that loses volatile state: leadership,
