@@ -1,8 +1,9 @@
 (* Machine-readable bench telemetry: drivers feed every trial sample
    here keyed by (experiment id, config label); [flush] writes one
    BENCH_<experiment>.json per experiment with the summary the printed
-   tables show (n, mean, 99% CI) plus p50/p99 and the raw samples, so
-   regressions can be checked without scraping stdout. A no-op unless
+   tables show (n, mean, 99% CI) plus p50/p99 and the raw samples, and
+   the clock they were read from, so regressions can be checked without
+   scraping stdout. A no-op unless
    [enable] was called. *)
 
 module Json = Grid_obs.Json
@@ -35,6 +36,11 @@ let sample ~experiment ~config v =
     | None -> configs := !configs @ [ (config, ref [ v ]) ]
   end
 
+(* The clock an experiment's samples are read from: the simulator's
+   virtual time, except for the benches that time host work with
+   [Sys.time]. *)
+let clock_of = function "obs" | "wire" -> "cpu" | _ -> "virtual"
+
 let config_json (label, samples) =
   let xs = Array.of_list (List.rev !samples) in
   let s = Stats.summarize xs in
@@ -54,6 +60,7 @@ let flush () =
         let json =
           Json.Obj
             [ ("experiment", Json.Str experiment);
+              ("clock", Json.Str (clock_of experiment));
               ("configs", Json.Arr (List.map config_json configs)) ]
         in
         let path = Filename.concat dir ("BENCH_" ^ experiment ^ ".json") in

@@ -151,6 +151,18 @@ type conn = { fd : Unix.file_descr; version : int; codec : (module CONN_CODEC) }
    a self-pipe so the main loop can sleep in [select] yet wake on either
    a message or a due timer. *)
 
+(* A client's synchronous call: the request it submitted, its deadline on
+   the wall clock, and its result. The caller sleeps on the core's
+   [call_done]; the loop thread completes the call with the reply to that
+   request, or with [None] once the deadline passes. *)
+type call_state = Waiting | Done of reply option
+
+type pending_call = {
+  mutable req : Grid_util.Ids.Request_id.t option;  (* None until submitted *)
+  due_ms : float;
+  mutable state : call_state;
+}
+
 type core = {
   node_id : int;
   max_wire_version : int;  (* highest version advertised in hellos *)
@@ -171,6 +183,9 @@ type core = {
   obs : Span.Recorder.t;  (* spans timed on the wall clock (ms) *)
   actor : string;
   meters : net_meters;
+  (* A client core's call in flight (at most one); guarded by [mutex]. *)
+  mutable call : pending_call option;
+  call_done : Condition.t;
 }
 
 let create_core ?(obs = Span.Recorder.disabled)
@@ -205,6 +220,8 @@ let create_core ?(obs = Span.Recorder.disabled)
     obs;
     actor;
     meters = make_meters ~peers:(List.map fst addresses) ();
+    call = None;
+    call_done = Condition.create ();
   }
 
 let wake core = try ignore (Unix.write_substring core.pipe_w "x" 0 1) with _ -> ()
@@ -212,6 +229,15 @@ let wake core = try ignore (Unix.write_substring core.pipe_w "x" 0 1) with _ -> 
 let with_lock core f =
   Mutex.lock core.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock core.mutex) f
+
+(* Under [mutex]: end the call in flight and wake its caller. *)
+let finish_call core pc result =
+  pc.state <- Done result;
+  core.call <- None;
+  Condition.broadcast core.call_done
+
+let is_pending core pc =
+  match core.call with Some p -> p == pc | None -> false
 
 let enqueue_msg core src msg =
   Metrics.inc core.meters.nm_received;
@@ -427,10 +453,22 @@ let event_loop core handle =
           let now = now_ms () in
           let due, later = List.partition (fun (d, _) -> d <= now) core.timers in
           core.timers <- later;
+          (* A call whose deadline has passed ends here; a live one bounds
+             the sleep like a timer does. *)
+          let call_due =
+            match core.call with
+            | Some pc when pc.due_ms <= now ->
+              finish_call core pc None;
+              infinity
+            | Some pc -> pc.due_ms
+            | None -> infinity
+          in
+          let next_due =
+            match later with [] -> call_due | (d, _) :: _ -> Float.min d call_due
+          in
           let timeout =
-            match later with
-            | [] -> 0.1 (* s *)
-            | (d, _) :: _ -> Float.max 0.0 ((d -. now) /. 1000.0)
+            if next_due = infinity then 0.1 (* s *)
+            else Float.max 0.0 ((next_due -. now) /. 1000.0)
           in
           ( List.rev_map (fun (src, msg) -> Receive { src; msg }) msgs
             @ List.map (fun (_, timer) -> Timer timer) due,
@@ -451,6 +489,7 @@ let shutdown core =
   core.stop <- true;
   wake core;
   with_lock core (fun () ->
+      Option.iter (fun pc -> finish_call core pc None) core.call;
       List.iter
         (fun (_, c) -> try Unix.shutdown c.fd SHUTDOWN_ALL with _ -> ())
         core.conns)
@@ -719,14 +758,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     (try Thread.join h.r_accept with _ -> ());
     release_meters h.r_core.meters
 
-  type client_handle = {
-    c_core : core;
-    client : Client.t;
-    c_loop : Thread.t;
-    c_mutex : Mutex.t;
-    c_cond : Condition.t;
-    c_reply : reply option ref;
-  }
+  type client_handle = { c_core : core; client : Client.t; c_loop : Thread.t }
 
   let start_client ~id ~replicas ?(retry_ms = 200.0) ?obs ?backoff_base_ms
       ?backoff_cap_ms ?max_wire_version () =
@@ -739,58 +771,60 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
         ~node_id:(client_node cid) ~actor:("c" ^ string_of_int id)
         ~addresses:replicas ()
     in
-    let c_mutex = Mutex.create () in
-    let c_cond = Condition.create () in
-    let c_reply = ref None in
+    (* [Client.handle] yields a reply only for its outstanding request,
+       which may be one an earlier call gave up on: complete the call in
+       flight only with the reply to the request it submitted. *)
     let handle ~now input =
       let actions, reply = Client.handle client ~now input in
-      (match reply with
-      | Some r ->
-        Mutex.lock c_mutex;
-        c_reply := Some r;
-        Condition.signal c_cond;
-        Mutex.unlock c_mutex
-      | None -> ());
+      Option.iter
+        (fun (r : reply) ->
+          with_lock core (fun () ->
+              match core.call with
+              | Some ({ req = Some id; _ } as pc)
+                when Grid_util.Ids.Request_id.equal id r.req ->
+                finish_call core pc (Some r)
+              | _ -> ()))
+        reply;
       actions
     in
     let c_loop = Thread.create (fun () -> event_loop core handle) () in
-    { c_core = core; client; c_loop; c_mutex; c_cond; c_reply }
+    { c_core = core; client; c_loop }
 
   (* Internal: the raw rtype/payload request path. Exposed only through
      {!call_op}, which derives both from the service signature — callers
-     never build wire payloads by hand. *)
+     never build wire payloads by hand. The call is armed on the loop
+     before the request is submitted there, so its deadline runs from
+     here; the caller then sleeps until the loop completes it. *)
   let call h rtype ~payload ~timeout_s =
-    Mutex.lock h.c_mutex;
-    h.c_reply := None;
-    Mutex.unlock h.c_mutex;
-    inject h.c_core (fun () ->
-        match Client.submit h.client ~now:(now_ms ()) rtype ~payload with
-        | `Sent actions -> run_actions h.c_core actions
-        | `Busy ->
-          (* Closed-loop contract violated by the caller; leave the
-             previous request outstanding and let this call time out. *)
-          ());
-    let deadline = Unix.gettimeofday () +. timeout_s in
-    Mutex.lock h.c_mutex;
-    let rec wait () =
-      match !(h.c_reply) with
-      | Some r ->
-        Mutex.unlock h.c_mutex;
-        Some r
-      | None ->
-        if Unix.gettimeofday () > deadline then begin
-          Mutex.unlock h.c_mutex;
-          None
-        end
+    let core = h.c_core in
+    let pc = { req = None; due_ms = now_ms () +. (timeout_s *. 1000.0); state = Waiting } in
+    with_lock core (fun () ->
+        if core.stop then pc.state <- Done None
         else begin
-          (* Condition has no timed wait in the stdlib: poll briefly. *)
-          Mutex.unlock h.c_mutex;
-          Thread.delay 0.002;
-          Mutex.lock h.c_mutex;
-          wait ()
-        end
-    in
-    wait ()
+          (* One call at a time: a call still in flight from another
+             thread ends with [None] rather than waiting forever. *)
+          Option.iter (fun old -> finish_call core old None) core.call;
+          core.call <- Some pc
+        end);
+    inject core (fun () ->
+        if with_lock core (fun () -> is_pending core pc) then
+          match Client.submit h.client ~now:(now_ms ()) rtype ~payload with
+          | `Sent actions ->
+            pc.req <- Option.map (fun (r : request) -> r.id) (Client.outstanding h.client);
+            run_actions core actions
+          | `Busy ->
+            (* An earlier call's request is still outstanding: fail now
+               instead of waiting for a reply that cannot be ours. *)
+            with_lock core (fun () -> if is_pending core pc then finish_call core pc None));
+    with_lock core (fun () ->
+        let rec wait () =
+          match pc.state with
+          | Done result -> result
+          | Waiting ->
+            Condition.wait core.call_done core.mutex;
+            wait ()
+        in
+        wait ())
 
   (* Typed entrypoint: classification and encoding stay inside the
      library. *)

@@ -6,6 +6,12 @@
     deduplicated by the handshake's node id; replies to clients travel
     back over the connection the client dialed in on.
 
+    A client's {!Make.call_op} blocks its caller on a condition variable.
+    The client's loop thread wakes it the moment the reply to the
+    submitted request arrives, so no thread sleeps on a fixed step. The
+    call's deadline is armed on the same loop: [select] never sleeps past
+    it, and when it passes the loop ends the call with [None].
+
     The handshake also negotiates the wire-protocol version: each side
     sends the highest {!Grid_paxos.Wire_codec} version it speaks
     (dialer first, listener answering) and the connection settles on the
@@ -138,12 +144,24 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
     S.op ->
     timeout_s:float ->
     Grid_paxos.Types.reply option
-  (** Synchronous typed request: broadcast to all replicas, wait for the
-      leader's reply (with protocol-level retransmission), [None] on
-      timeout. The request class comes from [S.classify] (or [Original]
-      when [unreplicated] is set) and the payload from [S.encode_op] —
-      there is no raw [rtype ~payload] entry point; callers never
-      construct wire strings. *)
+  (** Synchronous typed request: broadcast to all replicas and wait for
+      the leader's reply, with protocol-level retransmission. The caller
+      sleeps until the client's loop thread hands it the reply, or until
+      [timeout_s] has passed on that loop, which returns [None].
+
+      The client is closed-loop, so a request whose call returned [None]
+      stays outstanding and is retransmitted until a replica answers it.
+      Until then the client is busy, and a new call returns [None] at
+      once without sending anything or waiting out its timeout. A call
+      completes only with the reply to the request it submitted itself:
+      the late reply to an abandoned request is absorbed and never
+      returned. A handle serves one call at a time; a call started while
+      another thread's call is in flight ends that call with [None].
+
+      The request class comes from [S.classify] (or [Original] when
+      [unreplicated] is set) and the payload from [S.encode_op] — there
+      is no raw [rtype ~payload] entry point; callers never construct
+      wire strings. *)
 
   val client_metrics : client_handle -> Grid_obs.Metrics.t
 
@@ -151,4 +169,5 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
   (** [(replica, negotiated wire version)] for every live connection. *)
 
   val stop_client : client_handle -> unit
+  (** Stop the loop; a call in flight returns [None]. *)
 end

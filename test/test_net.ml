@@ -664,6 +664,177 @@ let test_oversized_frame_dropped () =
           | Some r -> Alcotest.(check bool) "cluster still serves" true (r.status = Ok)
           | None -> Alcotest.fail "write after the oversized one timed out"))
 
+(* ------------------------------------------------------------------ *)
+(* Client call wait: the caller sleeps until the loop thread hands it the
+   reply or the call's deadline passes on the loop. *)
+
+(* A loopback 3-replica cluster whose replicas can be stopped and
+   restarted on their ports. A restarted replica comes back empty and
+   catches up from the leader. Peers redial within 50 ms and followers
+   suspect the leader only after 300 ms, so restarted followers rejoin
+   the surviving leader instead of electing one of their own. *)
+module Cluster (S : Grid_paxos.Service_intf.S) = struct
+  module T = Grid_net.Tcp_node.Make (S)
+
+  type t = {
+    cfg : Config.t;
+    ports : int array;
+    nodes : T.replica_handle option array;
+  }
+
+  let addr c i = Unix.ADDR_INET (Unix.inet_addr_loopback, c.ports.(i))
+  let ids c = List.init (Array.length c.ports) Fun.id
+
+  let start c i =
+    let peers = List.filter_map (fun j -> if j = i then None else Some (j, addr c j)) (ids c) in
+    c.nodes.(i) <-
+      Some (T.start_replica ~cfg:c.cfg ~id:i ~port:c.ports.(i) ~peers ~backoff_cap_ms:50.0 ())
+
+  let stop c i =
+    Option.iter T.stop_replica c.nodes.(i);
+    c.nodes.(i) <- None
+
+  let leader c =
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    let rec wait () =
+      let live = List.filter_map (fun i -> Option.map (fun h -> (i, h)) c.nodes.(i)) (ids c) in
+      match List.find_opt (fun (_, h) -> T.replica_is_leader h) live with
+      | Some (i, _) -> i
+      | None ->
+        if Unix.gettimeofday () > deadline then Alcotest.fail "no leader elected";
+        Thread.delay 0.02;
+        wait ()
+    in
+    wait ()
+
+  let with_cluster f =
+    let cfg =
+      Config.make ~n:3 ~hb_period_ms:10.0 ~suspicion_ms:300.0 ~stability_ms:20.0
+        ~client_retry_ms:50.0 ~accept_retry_ms:50.0 ()
+    in
+    let c = { cfg; ports = Array.init 3 (fun _ -> free_port ()); nodes = Array.make 3 None } in
+    List.iter (start c) (ids c);
+    Fun.protect ~finally:(fun () -> List.iter (stop c) (ids c)) (fun () -> f c)
+
+  let with_client c f =
+    let h =
+      T.start_client ~id:1 ~replicas:(List.map (fun i -> (i, addr c i)) (ids c))
+        ~retry_ms:50.0 ~backoff_cap_ms:50.0 ()
+    in
+    Fun.protect ~finally:(fun () -> T.stop_client h) (fun () -> f h)
+
+  (* Stop every replica but the leader: no quorum remains. *)
+  let drop_quorum c =
+    let l = leader c in
+    List.iter (fun i -> if i <> l then stop c i) (ids c)
+
+  let restore_quorum c =
+    List.iter (fun i -> if Option.is_none c.nodes.(i) then start c i) (ids c)
+end
+
+module Counter_cluster = Cluster (Counter)
+module Kv_cluster = Cluster (Kv)
+
+let elapsed_s f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+(* A reply wakes the caller as soon as the loop thread has it, so a
+   loopback read costs well under a millisecond; a fixed 2 ms poll would
+   put every call above 2 ms. *)
+let test_call_latency () =
+  let module C = Counter_cluster in
+  C.with_cluster (fun c ->
+      ignore (C.leader c);
+      C.with_client c (fun h ->
+          let get () =
+            match C.T.call_op h Counter.Get ~timeout_s:5.0 with
+            | Some r when r.status = Ok -> ()
+            | _ -> Alcotest.fail "get failed"
+          in
+          for _ = 1 to 20 do get () done;
+          let ms = Array.init 200 (fun _ -> 1000.0 *. snd (elapsed_s get)) in
+          Array.sort Float.compare ms;
+          let p50 = ms.(100) in
+          if p50 >= 1.5 then Alcotest.failf "median call %.3f ms, want < 1.5 ms" p50))
+
+(* With no replica up, the loop ends the call at its deadline: not
+   before it, and not much after. Its request stays outstanding, so the
+   next call finds the client busy and fails at once. *)
+let test_call_deadline () =
+  let module C = Counter_cluster in
+  C.with_cluster (fun c ->
+      List.iter (C.stop c) (C.ids c);
+      C.with_client c (fun h ->
+          let r, dt = elapsed_s (fun () -> C.T.call_op h (Counter.Add 1) ~timeout_s:0.2) in
+          Alcotest.(check bool) "no reply" true (r = None);
+          if dt < 0.2 || dt > 0.5 then
+            Alcotest.failf "call returned after %.3f s, want within [0.2, 0.5]" dt;
+          let r, dt = elapsed_s (fun () -> C.T.call_op h (Counter.Add 2) ~timeout_s:5.0) in
+          Alcotest.(check bool) "busy call gets no reply" true (r = None);
+          if dt > 0.1 then Alcotest.failf "busy call took %.3f s to fail" dt))
+
+(* A finished call's deadline must not end a later call on the same
+   handle: B outlives A's 0.3 s deadline while the quorum is down and
+   still gets its own reply once the quorum is back. *)
+let test_stale_deadline () =
+  let module C = Counter_cluster in
+  C.with_cluster (fun c ->
+      ignore (C.leader c);
+      C.with_client c (fun h ->
+          (match C.T.call_op h (Counter.Add 1) ~timeout_s:0.3 with
+          | Some r -> Alcotest.(check int) "A applied" 1 (Counter.decode_result r.payload)
+          | None -> Alcotest.fail "call A timed out");
+          C.drop_quorum c;
+          let restorer =
+            Thread.create
+              (fun () ->
+                Thread.delay 0.5;
+                C.restore_quorum c)
+              ()
+          in
+          let r, dt = elapsed_s (fun () -> C.T.call_op h (Counter.Add 10) ~timeout_s:5.0) in
+          Thread.join restorer;
+          match r with
+          | Some r ->
+            Alcotest.(check bool) "B ok" true (r.status = Ok);
+            Alcotest.(check int) "B's own result" 11 (Counter.decode_result r.payload);
+            if dt < 0.5 then Alcotest.failf "B answered after %.3f s, before the quorum" dt
+          | None -> Alcotest.failf "call B ended after %.3f s without a reply" dt))
+
+(* A call that timed out leaves its request outstanding at the client,
+   which retransmits it until the restored quorum answers. That late
+   reply must never complete a later call: until it is absorbed, calls
+   fail as busy; after it, they get their own replies again. *)
+let test_late_reply_not_returned () =
+  let module C = Kv_cluster in
+  C.with_cluster (fun c ->
+      ignore (C.leader c);
+      C.with_client c (fun h ->
+          (match C.T.call_op h (Kv.Put { key = "a"; value = "warm" }) ~timeout_s:5.0 with
+          | Some r -> Alcotest.(check bool) "warm-up ok" true (r.status = Ok)
+          | None -> Alcotest.fail "warm-up timed out");
+          C.drop_quorum c;
+          Alcotest.(check bool) "A times out without a quorum" true
+            (C.T.call_op h (Kv.Put { key = "a"; value = "first" }) ~timeout_s:0.3 = None);
+          C.restore_quorum c;
+          let deadline = Unix.gettimeofday () +. 10.0 in
+          let rec get () =
+            match C.T.call_op h (Kv.Get "a") ~timeout_s:5.0 with
+            | Some r -> r
+            | None ->
+              if Unix.gettimeofday () > deadline then Alcotest.fail "no reply after restore";
+              Thread.delay 0.02;
+              get ()
+          in
+          let r = get () in
+          Alcotest.(check bool) "B ok" true (r.status = Ok);
+          match Kv.decode_result r.payload with
+          | Kv.Value (Some v) ->
+            Alcotest.(check bool) "B reads a written value" true (v = "warm" || v = "first")
+          | _ -> Alcotest.fail "B returned a reply that is not its Get's"))
+
 let suite =
   [
     ( "net.framing",
@@ -688,5 +859,13 @@ let suite =
         Alcotest.test_case "SIGPIPE ignored" `Quick test_sigpipe_ignored;
         Alcotest.test_case "oversized frame dropped, loop survives" `Slow
           test_oversized_frame_dropped;
+      ] );
+    ( "net.call",
+      [
+        Alcotest.test_case "reply wakes the caller" `Slow test_call_latency;
+        Alcotest.test_case "deadline ends the call" `Slow test_call_deadline;
+        Alcotest.test_case "finished call's deadline is stale" `Slow test_stale_deadline;
+        Alcotest.test_case "late reply never completes a later call" `Slow
+          test_late_reply_not_returned;
       ] );
   ]
