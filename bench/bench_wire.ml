@@ -1,18 +1,14 @@
 (* Wire-codec benchmark (ours): encode/decode cost and on-wire bytes of
-   the negotiated protocol versions. V1 is the seed's unversioned
-   encoding wrapped behind the {!Grid_codec.Wire_intf.WIRE} signature;
-   V2 adds the compact header and flag-gated field elisions
-   (DESIGN.md §15). Two questions, both answered per version:
+   the V1 codec ({!Grid_paxos.Wire_codec}, DESIGN.md §15). Two
+   questions:
 
    - ns/msg to encode and to decode a representative message mix — the
      CPU the transport pays per delivery;
    - bytes/request on the wire for one replicated write and one
      confirmed read in a 3-replica group, frame overhead (4-byte length
-     header + 4-byte CRC trailer) included — the number the rolling
-     upgrade trades against.
+     header + 4-byte CRC trailer) included.
 
-   With --json-dir the samples land in BENCH_wire.json; the driver
-   asserts V2 never costs more bytes per request than V1. *)
+   With --json-dir the samples land in BENCH_wire.json. *)
 
 module Types = Grid_paxos.Types
 module WC = Grid_paxos.Wire_codec
@@ -60,8 +56,8 @@ let write_flow : Types.msg list =
   [ cr; cr; cr; accept; accept; ack; ack; commit; commit; Types.Reply_msg reply ]
 
 (* One X-Paxos confirmed read: broadcast, two follower confirmations to
-   the leader, one reply. Lease anchors are [nan] (leases off) — the
-   common configuration, and the one V2 elides. *)
+   the leader, one reply. Lease anchors are [nan] (leases off), the
+   common configuration. *)
 let read_flow : Types.msg list =
   let cr = Types.Client_req (read_request 12) in
   let confirm =
@@ -98,11 +94,8 @@ let timing_mix : Types.msg list =
 
 let frame_overhead = 8 (* 4-byte length header + 4-byte CRC trailer *)
 
-let flow_bytes (module W : Grid_codec.Wire_intf.WIRE with type msg = Types.msg)
-    flow =
-  List.fold_left
-    (fun acc m -> acc + frame_overhead + String.length (W.encode m))
-    0 flow
+let flow_bytes flow =
+  List.fold_left (fun acc m -> acc + frame_overhead + String.length (WC.encode m)) 0 flow
 
 (* ns/msg over [iters] passes of the mix; one call = one sample. *)
 let time_ns f n_msgs ~iters =
@@ -112,25 +105,24 @@ let time_ns f n_msgs ~iters =
   done;
   (Sys.time () -. t0) *. 1e9 /. Float.of_int (iters * n_msgs)
 
-let bench_codec ~trials ~iters
-    (module W : Grid_codec.Wire_intf.WIRE with type msg = Types.msg) =
+let bench_codec ~trials ~iters =
   let msgs = Array.of_list timing_mix in
-  let encoded = Array.map W.encode msgs in
+  let encoded = Array.map WC.encode msgs in
   (* Every decode must succeed — a codec that errors on its own output
      would corrupt the timing with exception overhead. *)
   Array.iter
     (fun s ->
-      match W.decode s with
+      match WC.decode s with
       | Ok _ -> ()
       | Error e ->
         failwith
-          (Printf.sprintf "bench_wire: v%d self-decode failed: %s" W.version
+          (Printf.sprintf "bench_wire: self-decode failed: %s"
              (Grid_codec.Wire_intf.decode_error_to_string e)))
     encoded;
   let enc = Stats.create () and dec = Stats.create () in
   let n = Array.length msgs in
-  let encode_pass () = Array.iter (fun m -> ignore (W.encode m)) msgs in
-  let decode_pass () = Array.iter (fun s -> ignore (W.decode s)) encoded in
+  let encode_pass () = Array.iter (fun m -> ignore (WC.encode m)) msgs in
+  let decode_pass () = Array.iter (fun s -> ignore (WC.decode s)) encoded in
   (* Warm up, then interleave so allocator drift cancels. *)
   ignore (time_ns encode_pass n ~iters);
   ignore (time_ns decode_pass n ~iters);
@@ -139,24 +131,16 @@ let bench_codec ~trials ~iters
     let d = time_ns decode_pass n ~iters in
     Stats.add enc e;
     Stats.add dec d;
-    Report.sample ~experiment:"wire"
-      ~config:(Printf.sprintf "v%d encode (ns/msg)" W.version)
-      e;
-    Report.sample ~experiment:"wire"
-      ~config:(Printf.sprintf "v%d decode (ns/msg)" W.version)
-      d
+    Report.sample ~experiment:"wire" ~config:"v1 encode (ns/msg)" e;
+    Report.sample ~experiment:"wire" ~config:"v1 decode (ns/msg)" d
   done;
   (enc, dec)
 
 let run ~quick ~only =
   if only = None || only = Some "wire" then begin
-    Experiment.section
-      "wire — codec versions: ns/msg and bytes/request, V1 vs V2 (ours)";
+    Experiment.section "wire — codec cost: ns/msg and bytes/request (ours)";
     let trials = if quick then 8 else 24 in
     let iters = if quick then 500 else 2_000 in
-    let codecs = [ (module WC.V1 : Grid_codec.Wire_intf.WIRE
-                      with type msg = Types.msg);
-                   (module WC.V2) ] in
     let table =
       T.create
         ~columns:
@@ -164,32 +148,14 @@ let run ~quick ~only =
             ("Decode ns/msg", T.Right); ("Write B/req", T.Right);
             ("Read B/req", T.Right) ]
     in
-    let byte_totals =
-      List.map
-        (fun ((module W : Grid_codec.Wire_intf.WIRE with type msg = Types.msg)
-              as w) ->
-          let enc, dec = bench_codec ~trials ~iters w in
-          let wb = flow_bytes w write_flow and rb = flow_bytes w read_flow in
-          Report.sample ~experiment:"wire"
-            ~config:(Printf.sprintf "v%d write flow (bytes/request)" W.version)
-            (Float.of_int wb);
-          Report.sample ~experiment:"wire"
-            ~config:(Printf.sprintf "v%d read flow (bytes/request)" W.version)
-            (Float.of_int rb);
-          T.add_row table
-            [ Printf.sprintf "V%d" W.version; T.cell_f (Stats.mean enc);
-              T.cell_f (Stats.mean dec); string_of_int wb; string_of_int rb ];
-          (W.version, wb, rb))
-        codecs
-    in
-    print_string (T.render table);
-    match byte_totals with
-    | [ (1, w1, r1); (2, w2, r2) ] ->
-      if w2 > w1 || r2 > r1 then
-        failwith "bench_wire: V2 must not cost more bytes/request than V1";
-      Printf.printf
-        "V2 saves %.1f%% on the write flow, %.1f%% on the read flow\n%!"
-        (Float.of_int (w1 - w2) /. Float.of_int w1 *. 100.0)
-        (Float.of_int (r1 - r2) /. Float.of_int r1 *. 100.0)
-    | _ -> failwith "bench_wire: expected exactly V1 and V2"
+    let enc, dec = bench_codec ~trials ~iters in
+    let wb = flow_bytes write_flow and rb = flow_bytes read_flow in
+    Report.sample ~experiment:"wire" ~config:"v1 write flow (bytes/request)"
+      (Float.of_int wb);
+    Report.sample ~experiment:"wire" ~config:"v1 read flow (bytes/request)"
+      (Float.of_int rb);
+    T.add_row table
+      [ "V1"; T.cell_f (Stats.mean enc); T.cell_f (Stats.mean dec);
+        string_of_int wb; string_of_int rb ];
+    print_string (T.render table)
   end

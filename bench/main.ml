@@ -26,7 +26,7 @@ let experiments =
     ("abl-state-size", "State size × shipping mode (§3.3)");
     ("abl-t2", "t=2 replicas and WAN variance (§4.3)");
     ("msg-complexity", "Wire messages per request vs analysis (§3.3–3.5)");
-    ("wire", "Wire-codec versions: ns/msg and bytes/request, V1 vs V2 (ours)");
+    ("wire", "Wire codec: ns/msg and bytes/request of the V1 encoding (ours)");
     ("openloop", "Median latency vs offered load, open loop (ours)");
     ("overload", "Goodput vs offered load under admission control (ours)");
     ("shard", "Aggregate throughput vs shard count (ours)");

@@ -30,14 +30,11 @@ let workload_conv =
   in
   Arg.conv (parse, print)
 
-let run cluster service workload count client_id wire_version =
+let run cluster service workload count client_id =
   let start (type a) (module S : Grid_paxos.Service_intf.S with type op = a)
       ~(read_op : a) ~(write_op : a) =
     let module Tcp = Grid_net.Tcp_node.Make (S) in
-    let client =
-      Tcp.start_client ~id:client_id ~replicas:cluster
-        ~max_wire_version:wire_version ()
-    in
+    let client = Tcp.start_client ~id:client_id ~replicas:cluster () in
     let acc = Stats.create () in
     let failures = ref 0 in
     let request k =
@@ -102,19 +99,11 @@ let count_arg =
 
 let id_arg = Arg.(value & opt int 1 & info [ "client-id" ] ~docv:"C" ~doc:"Client id.")
 
-let wire_version_arg =
-  Arg.(
-    value
-    & opt int Grid_paxos.Wire_codec.latest_version
-    & info [ "wire-version" ] ~docv:"V"
-        ~doc:"Highest wire-protocol version to advertise (default latest).")
-
 let cmd =
   let doc = "Closed-loop measurement client for a TCP replica cluster" in
   Cmd.v
     (Cmd.info "grid-client" ~doc)
     Term.(
-      const run $ cluster_arg $ service_arg $ workload_arg $ count_arg $ id_arg
-      $ wire_version_arg)
+      const run $ cluster_arg $ service_arg $ workload_arg $ count_arg $ id_arg)
 
 let () = exit (Cmd.eval cmd)

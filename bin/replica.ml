@@ -9,7 +9,7 @@
 
 open Cmdliner
 
-let run id cluster service storage wire_version verbose =
+let run id cluster service storage verbose =
   if id < 0 || id >= List.length cluster then (
     Printf.eprintf "--id must index into --cluster (0..%d)\n" (List.length cluster - 1);
     exit 1);
@@ -35,21 +35,12 @@ let run id cluster service storage wire_version verbose =
       | None -> ());
       Some (store, recovered)
   in
-  (if wire_version < Grid_paxos.Wire_codec.min_version
-      || wire_version > Grid_paxos.Wire_codec.latest_version
-   then begin
-     Printf.eprintf "--wire-version must be %d..%d\n"
-       Grid_paxos.Wire_codec.min_version Grid_paxos.Wire_codec.latest_version;
-     exit 1
-   end);
   let start (module S : Grid_paxos.Service_intf.S) =
     let module Tcp = Grid_net.Tcp_node.Make (S) in
     let handle =
-      Tcp.start_replica ~cfg ~id ~port ~peers ?storage:(Option.map fst storage)
-        ~max_wire_version:wire_version ()
+      Tcp.start_replica ~cfg ~id ~port ~peers ?storage:(Option.map fst storage) ()
     in
-    Printf.printf "replica %d (%s service, wire <= v%d) listening on port %d\n%!"
-      id S.name wire_version port;
+    Printf.printf "replica %d (%s service) listening on port %d\n%!" id S.name port;
     Printf.printf "  admin: http://127.0.0.1:%d/{health,metrics,flightrec}\n%!" port;
     (* Report role changes until interrupted. *)
     let last = ref false in
@@ -90,17 +81,6 @@ let storage_arg =
     & opt (some string) None
     & info [ "storage" ] ~docv:"PATH" ~doc:"File-backed stable storage path prefix.")
 
-let wire_version_arg =
-  Arg.(
-    value
-    & opt int Grid_paxos.Wire_codec.latest_version
-    & info [ "wire-version" ] ~docv:"V"
-        ~doc:
-          "Highest wire-protocol version to advertise (default latest). Pin \
-           to an older version to emulate a not-yet-upgraded build during a \
-           rolling upgrade; each connection negotiates the minimum of the \
-           two endpoints.")
-
 let verbose_arg =
   Arg.(value & flag & info [ "verbose" ] ~doc:"Report status every second.")
 
@@ -109,7 +89,6 @@ let cmd =
   Cmd.v
     (Cmd.info "grid-replica" ~doc)
     Term.(
-      const run $ id_arg $ cluster_arg $ service_arg $ storage_arg
-      $ wire_version_arg $ verbose_arg)
+      const run $ id_arg $ cluster_arg $ service_arg $ storage_arg $ verbose_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -34,16 +34,12 @@ type fault_event =
   | Drift_at of { step : int; victim : int; offset_ms : float }
       (** the victim's clock jumps to virtual time + [offset_ms]; attacks
           the leader-lease clock-skew bound *)
-  | Upgrade_at of { step : int; victim : int; version : int }
-      (** rolling upgrade: the victim is bounced (crash-consistent
-          restart) and comes back speaking wire-protocol [version] *)
 
 type plan = fault_event list
 
 let fault_step = function
   | Crash_at { step; _ } | Recover_at { step; _ }
-  | Duplicate_at { step } | Reorder_at { step; _ } | Drift_at { step; _ }
-  | Upgrade_at { step; _ } -> step
+  | Duplicate_at { step } | Reorder_at { step; _ } | Drift_at { step; _ } -> step
 
 let pp_fault ppf = function
   | Crash_at { step; victim; torn } ->
@@ -53,8 +49,6 @@ let pp_fault ppf = function
   | Reorder_at { step; depth } -> Format.fprintf ppf "@%d reorder(+%d)" step depth
   | Drift_at { step; victim; offset_ms } ->
     Format.fprintf ppf "@%d drift(%d,%+.2fms)" step victim offset_ms
-  | Upgrade_at { step; victim; version } ->
-    Format.fprintf ppf "@%d upgrade(%d,v%d)" step victim version
 
 let pp_plan ppf plan =
   Format.fprintf ppf "[@[%a@]]"
@@ -137,12 +131,10 @@ type outcome = {
   duplicated : int;
   reordered : int;
   drifted : int;  (** clock-drift injections that fired *)
-  upgraded : int;  (** rolling-upgrade bounces that fired *)
   shed : int;  (** [Overloaded] replies the leaders pushed back *)
   wire_errors : string list;
-      (** wire-codec oracle breaches: a message that failed the encode →
-          decode roundtrip through the version negotiated for its link —
-          empty unless the run models wire versions ([wire_versions]) *)
+      (** wire-codec oracle breaches: a delivered message that failed
+          the encode → decode roundtrip through {!Grid_paxos.Wire_codec} *)
   watchdog_violations : int;
       (** online invariant checks ({!Grid_obs.Watchdog}) that fired inside
           the replicas during the run — the runtime mirror of the offline
@@ -186,17 +178,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     mutable nstep : int;
     mutable mode : mode;
     mutable plan_rev : fault_event list;
-    (* Wire-version model: [Some versions] runs every delivered message
-       through the codec negotiated for its link — min of the endpoints'
-       versions, clients always at latest — exactly what the TCP
-       handshake would settle on. [None] skips codecs entirely (the
-       pre-versioning behaviour, and the default). *)
-    wire : int array option;
-    (* step -> (victim, version): scripted upgrades, applied in Record
-       mode; replay takes its [Upgrade_at]s from the plan instead. *)
-    upgrades_tbl : (int, int * int) Hashtbl.t;
     mutable wire_errors : string list;
-    mutable upgraded : int;
     (* instance -> (request key, encoded state after): the union of every
        committed update any incarnation of any replica has reported. *)
     oracle : (int, string * string) Hashtbl.t;
@@ -288,32 +270,21 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
       mark_down sched victim
     end
 
-  (* The wire model: encode with the link's negotiated codec, decode the
-     bytes back, deliver the decoded message. A roundtrip failure is an
-     oracle breach (the codecs must be lossless for every reachable
-     message) and the message is dropped, as the transport drops a
-     corrupt frame; retransmission decides liveness from there. *)
+  (* The wire model: every delivery is encoded, decoded back, and the
+     decoded message is what the destination receives, as over TCP. A
+     roundtrip failure is an oracle breach (the codec must be lossless
+     for every reachable message) and the message is dropped, as the
+     transport drops a corrupt frame; retransmission decides liveness
+     from there. *)
   let wire_roundtrip sched ~src ~dst msg =
-    match sched.wire with
-    | None -> Some msg
-    | Some w ->
-      let version_of n =
-        if node_is_client n then Grid_paxos.Wire_codec.latest_version else w.(n)
-      in
-      let v = min (version_of src) (version_of dst) in
-      let module W =
-        (val Grid_paxos.Wire_codec.of_version_exn v : Grid_codec.Wire_intf.WIRE
-           with type msg = msg)
-      in
-      (match W.decode (W.encode msg) with
-      | Stdlib.Ok m -> Some m
-      | Stdlib.Error e ->
-        sched.wire_errors <-
-          Printf.sprintf "step %d, %d -> %d (%s over v%d): %s" sched.nstep src
-            dst (msg_kind msg) v
-            (Grid_codec.Wire_intf.decode_error_to_string e)
-          :: sched.wire_errors;
-        None)
+    match Grid_paxos.Wire_codec.(decode (encode msg)) with
+    | Stdlib.Ok m -> Some m
+    | Stdlib.Error e ->
+      sched.wire_errors <-
+        Printf.sprintf "step %d, %d -> %d (%s): %s" sched.nstep src dst (msg_kind msg)
+          (Grid_codec.Wire_intf.decode_error_to_string e)
+        :: sched.wire_errors;
+      None
 
   let dispatch sched i input =
     if not sched.down.(i) then
@@ -392,18 +363,6 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     sched.down.(back) <- false;
     exec_actions sched back (R.restart r ~now:(sched.vnow +. sched.skew.(back)))
 
-  (* A rolling upgrade bounces the victim — crash-consistent restart
-     under a binary that speaks [version]. An already-down victim just
-     has its version changed; it picks it up when it recovers. *)
-  let apply_upgrade sched ~victim ~version =
-    record sched (Upgrade_at { step = sched.nstep; victim; version });
-    sched.upgraded <- sched.upgraded + 1;
-    (match sched.wire with Some w -> w.(victim) <- version | None -> ());
-    if not sched.down.(victim) then begin
-      crash_replica sched victim ~torn:false;
-      revive sched victim
-    end
-
   (* ---------------------------------------------------------------- *)
   (* Scheduling                                                        *)
 
@@ -423,12 +382,6 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
       Array.fold_left (fun n d -> if d then n + 1 else n) 0 sched.down
     in
     match sched.mode with
-    | Record _ when Hashtbl.mem sched.upgrades_tbl sched.nstep ->
-      (* Scripted rolling upgrades fire at their exact step, ahead of the
-         dice, so a recorded plan replays them from its [Upgrade_at]s. *)
-      let victim, version = Hashtbl.find sched.upgrades_tbl sched.nstep in
-      apply_upgrade sched ~victim ~version;
-      true
     | Record { nem; frng }
       when nem.drift_prob > 0.0 && Rng.float frng 1.0 < nem.drift_prob ->
       (* The drift dice roll only when drift is enabled, so existing
@@ -486,9 +439,6 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
       | Some (Drift_at { victim; offset_ms; _ }) ->
         record sched (Drift_at { step = sched.nstep; victim; offset_ms });
         sched.skew.(victim) <- offset_ms;
-        true
-      | Some (Upgrade_at { victim; version; _ }) ->
-        apply_upgrade sched ~victim ~version;
         true
       | _ -> false)
 
@@ -569,34 +519,11 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
   (* Runs                                                              *)
 
   let run_mode ?(obs = Grid_obs.Span.Recorder.disabled) ~seed ~steps ~max_down
-      ~meta_drop_prob ~disable_dedup ~cfg_tweak ~requests ~wire_versions
-      ~upgrades ~mode () =
+      ~meta_drop_prob ~disable_dedup ~cfg_tweak ~requests ~mode () =
     let rng = Rng.of_int seed in
     let cfg : Grid_paxos.Config.t =
       cfg_tweak (Grid_paxos.Config.make ~n:3 ~record_history:true ~disable_dedup ())
     in
-    let wire =
-      match wire_versions with
-      | None -> if upgrades = [] then None else Some (Array.make cfg.n 1)
-      | Some vs ->
-        if Array.length vs <> cfg.n then
-          invalid_arg "Mcheck: wire_versions must list one version per replica";
-        Array.iter
-          (fun v ->
-            if Grid_paxos.Wire_codec.of_version v = None then
-              invalid_arg (Printf.sprintf "Mcheck: unknown wire version %d" v))
-          vs;
-        Some (Array.copy vs)
-    in
-    let upgrades_tbl = Hashtbl.create (List.length upgrades) in
-    List.iter
-      (fun (step, victim, version) ->
-        if victim < 0 || victim >= cfg.n then
-          invalid_arg "Mcheck: upgrade victim out of range";
-        if Grid_paxos.Wire_codec.of_version version = None then
-          invalid_arg (Printf.sprintf "Mcheck: unknown wire version %d" version);
-        Hashtbl.replace upgrades_tbl step (victim, version))
-      upgrades;
     let stores = Array.make cfg.n (Grid_paxos.Storage.null ()) in
     let reads =
       Array.make cfg.n (fun () ->
@@ -653,10 +580,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
         nstep = 0;
         mode;
         plan_rev = [];
-        wire;
-        upgrades_tbl;
         wire_errors = [];
-        upgraded = 0;
         oracle = Hashtbl.create 64;
         committed_ids = Hashtbl.create 64;
         reply_times = Hashtbl.create 32;
@@ -881,7 +805,6 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
       duplicated = count (function Duplicate_at _ -> true | _ -> false);
       reordered = count (function Reorder_at _ -> true | _ -> false);
       drifted = count (function Drift_at _ -> true | _ -> false);
-      upgraded = sched.upgraded;
       shed = sched.shed;
       wire_errors = List.rev sched.wire_errors;
       watchdog_violations = Grid_obs.Watchdog.violations sched.wd;
@@ -897,19 +820,18 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
 
   let explore ?obs ?(seed = 1) ?(steps = 5_000) ?(max_down = 1) ?(nemesis = no_faults)
       ?(disable_dedup = false) ?(cfg_tweak = Fun.id) ?(requests = [])
-      ?wire_versions ?(upgrades = []) () =
+      () =
     run_mode ?obs ~seed ~steps ~max_down ~meta_drop_prob:nemesis.meta_drop_prob
-      ~disable_dedup ~cfg_tweak ~requests ~wire_versions ~upgrades
+      ~disable_dedup ~cfg_tweak ~requests
       ~mode:(Record { nem = nemesis; frng = Rng.of_int (seed lxor 0x6e656d) })
       ()
 
   let replay ?obs ?(seed = 1) ?(steps = 5_000) ?(max_down = 1) ?(meta_drop_prob = 0.0)
-      ?(disable_dedup = false) ?(cfg_tweak = Fun.id) ?(requests = [])
-      ?wire_versions ~plan () =
+      ?(disable_dedup = false) ?(cfg_tweak = Fun.id) ?(requests = []) ~plan () =
     let tbl = Hashtbl.create (List.length plan) in
     List.iter (fun ev -> Hashtbl.replace tbl (fault_step ev) ev) plan;
     run_mode ?obs ~seed ~steps ~max_down ~meta_drop_prob ~disable_dedup ~cfg_tweak
-      ~requests ~wire_versions ~upgrades:[] ~mode:(Replay tbl) ()
+      ~requests ~mode:(Replay tbl) ()
 
   let run ?obs ?(seed = 1) ?(steps = 5_000) ?(crash_prob = 0.0) ?(max_down = 1)
       ?cfg_tweak ?(requests = []) () =
@@ -920,12 +842,11 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
   (* Shrink a failing run to a minimal plan: greedily drop events, keeping
      any removal after which the (deterministic) replay still fails. *)
   let shrink ?(seed = 1) ?(steps = 5_000) ?(max_down = 1) ?(meta_drop_prob = 0.0)
-      ?(disable_dedup = false) ?(cfg_tweak = Fun.id) ?(requests = [])
-      ?wire_versions ~plan () =
+      ?(disable_dedup = false) ?(cfg_tweak = Fun.id) ?(requests = []) ~plan () =
     let still_fails p =
       failed
         (replay ~seed ~steps ~max_down ~meta_drop_prob ~disable_dedup ~cfg_tweak
-           ~requests ?wire_versions ~plan:p ())
+           ~requests ~plan:p ())
     in
     shrink_plan ~still_fails plan
 end

@@ -42,9 +42,6 @@ type fault_event =
           the channel head *)
   | Drift_at of { step : int; victim : int; offset_ms : float }
       (** the victim's clock becomes virtual time + [offset_ms] *)
-  | Upgrade_at of { step : int; victim : int; version : int }
-      (** rolling upgrade: the victim is bounced (crash-consistent
-          restart) and comes back speaking wire-protocol [version] *)
 
 type plan = fault_event list
 
@@ -113,15 +110,15 @@ type outcome = {
   duplicated : int;
   reordered : int;
   drifted : int;  (** clock-drift injections that fired *)
-  upgraded : int;  (** rolling-upgrade bounces that fired *)
   shed : int;
       (** [Overloaded] replies leaders pushed back (0 unless the config
           bounds admission via [max_inflight]/[max_queue]) *)
   wire_errors : string list;
-      (** wire-codec oracle breaches: a message that failed the
-          encode → decode roundtrip through the version negotiated for
-          its link. Always empty unless the run models wire versions
-          ([wire_versions]/[upgrades]); non-empty fails the run. *)
+      (** wire-codec oracle breaches: a delivered message that failed
+          the encode → decode roundtrip through
+          {!Grid_paxos.Wire_codec}. Every delivery of every run goes
+          through the codec, and the destination receives the decoded
+          message; non-empty fails the run. *)
   watchdog_violations : int;
       (** online invariant checks ({!Grid_obs.Watchdog}) that fired inside
           the replicas during the run — the runtime mirror of the offline
@@ -150,8 +147,6 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
     ?disable_dedup:bool ->
     ?cfg_tweak:(Grid_paxos.Config.t -> Grid_paxos.Config.t) ->
     ?requests:(int * Grid_paxos.Types.rtype * string) list ->
-    ?wire_versions:int array ->
-    ?upgrades:(int * int * int) list ->
     unit ->
     outcome
   (** Explore one schedule over a 3-replica group. [obs] receives the
@@ -165,17 +160,7 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
       request-dedup table exists to prevent (for validating that the
       checkers and shrinker catch it). [cfg_tweak] edits the group's
       {!Grid_paxos.Config.t} before the replicas are built — e.g. to
-      enable leader leases ([lease_ms]) for the stale-read oracle.
-
-      [wire_versions] turns on the wire-codec model: one protocol
-      version per replica, and every delivered message is run through
-      the codec its link would negotiate over TCP
-      (min of the endpoints' versions; clients speak
-      {!Grid_paxos.Wire_codec.latest_version}). [upgrades] scripts
-      rolling upgrades as [(step, victim, version)] triples: at [step]
-      the victim is bounced crash-consistently and comes back speaking
-      [version] — the mixed-version cluster scenario. Roundtrip
-      failures land in [wire_errors] and fail the run. *)
+      enable leader leases ([lease_ms]) for the stale-read oracle. *)
 
   val replay :
     ?obs:Grid_obs.Span.Recorder.t ->
@@ -186,13 +171,10 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
     ?disable_dedup:bool ->
     ?cfg_tweak:(Grid_paxos.Config.t -> Grid_paxos.Config.t) ->
     ?requests:(int * Grid_paxos.Types.rtype * string) list ->
-    ?wire_versions:int array ->
     plan:plan ->
     unit ->
     outcome
-  (** Re-run a schedule applying faults from [plan] instead of dice
-      (including any [Upgrade_at] events the recording produced; pass
-      the same [wire_versions] as the recording).
+  (** Re-run a schedule applying faults from [plan] instead of dice.
       With the plan and parameters of a recorded run, the replay is
       exact; with a shrunk plan it is best-effort (events whose
       preconditions no longer hold are skipped). *)
@@ -205,7 +187,6 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
     ?disable_dedup:bool ->
     ?cfg_tweak:(Grid_paxos.Config.t -> Grid_paxos.Config.t) ->
     ?requests:(int * Grid_paxos.Types.rtype * string) list ->
-    ?wire_versions:int array ->
     plan:plan ->
     unit ->
     plan

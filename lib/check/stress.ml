@@ -286,8 +286,8 @@ module Harness (Spec : SPEC) = struct
             (String.concat "; " o.watchdog_detail);
         ]
     in
-    agreement @ o.durability @ o.stale_reads @ o.lost_admitted @ bounded_latency
-    @ lin @ watchdog
+    agreement @ o.durability @ o.stale_reads @ o.lost_admitted @ o.wire_errors
+    @ bounded_latency @ lin @ watchdog
 
   (* Run one seeded schedule; on failure optionally shrink its fault plan
      to a minimal one that still fails (under deterministic replay with

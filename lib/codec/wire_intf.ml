@@ -1,18 +1,12 @@
-(** The [WIRE] signature: one versioned binary codec for a message type.
+(** Typed decode errors for wire codecs.
 
-    A codec owns the full frame payload — header (if its version has
-    one) and body — and is the unit the transport negotiates at dial
-    time and is functorized over (see {!Grid_net.Framing.Codec}). The
-    message type stays abstract here so the signature can live below the
-    protocol-types library; implementations for the replication
-    protocol's [Types.msg] are in [Grid_paxos.Wire_codec].
-
-    Decoding never raises: failures surface as typed {!decode_error}
-    values, which the transport turns into connection-level [`Corrupt]
-    results instead of exceptions unwinding through reader loops. *)
+    Decoding never raises: failures surface as {!decode_error} values,
+    which the transport turns into connection-level [`Corrupt] results
+    instead of exceptions unwinding through reader loops. The codec for
+    the replication protocol's messages is [Grid_paxos.Wire_codec]. *)
 
 type decode_error = {
-  version : int;  (** the codec that rejected the bytes *)
+  version : int;  (** the protocol version of the codec that rejected the bytes *)
   pos : int;  (** byte offset of the failure *)
   msg : string;
 }
@@ -21,39 +15,3 @@ let pp_decode_error ppf { version; pos; msg } =
   Format.fprintf ppf "wire v%d decode error at byte %d: %s" version pos msg
 
 let decode_error_to_string e = Format.asprintf "%a" pp_decode_error e
-
-(** Versioned frames open with a one-byte header whose high nibble is
-    this magic (low nibble: the codec version). Version 1 predates the
-    header and has none; its first byte is a message-tag varint, always
-    [< 0x10], so the two framings cannot be confused. *)
-let magic_nibble = 0xA
-
-let header_byte ~version =
-  if version < 0 || version > 0xF then invalid_arg "Wire_intf.header_byte";
-  Char.chr ((magic_nibble lsl 4) lor version)
-
-(** [header_version s] classifies the first byte of a frame payload:
-    [Some v] when it carries a versioned header (magic nibble matches),
-    [None] when it is headerless (version-1 legacy framing or garbage —
-    the V1 decoder's tag check arbitrates). *)
-let header_version s =
-  if String.length s = 0 then None
-  else
-    let b = Char.code s.[0] in
-    if b lsr 4 = magic_nibble then Some (b land 0xF) else None
-
-module type WIRE = sig
-  type msg
-
-  val version : int
-  (** Protocol version this codec implements; negotiated per connection
-      as [min (local, peer)] over the hello exchange. *)
-
-  val encode : msg -> string
-  (** Full frame payload: header (if any for this version) plus body. *)
-
-  val decode : string -> (msg, decode_error) result
-  (** Inverse of {!encode}; rejects trailing bytes, truncations, wrong
-      magic/version headers and out-of-range tags with a typed error,
-      never an exception. *)
-end

@@ -1,5 +1,6 @@
 module Wire = Grid_codec.Wire
 module Wire_intf = Grid_codec.Wire_intf
+module Wire_codec = Grid_paxos.Wire_codec
 
 exception Closed
 exception Too_large of int
@@ -72,15 +73,16 @@ let read_frame fd =
       | exception Closed ->
         Error (Corrupt { pos = 0; msg = "eof inside frame body" }))
 
-(* Hello frame: [uint node_id] then [uint max_wire_version]. Pre-
-   versioning builds sent only the node id; an absent version field
-   decodes as 1, which keeps this side of the handshake compatible. *)
-let write_hello fd ~node_id ~max_version =
+(* Hello frame: [uint node_id] then [uint max_version]. Pre-versioning
+   builds sent only the node id; an absent version field decodes as 1.
+   Builds that also spoke a second codec advertise 2 and settle on V1
+   with this one, so only a hello below V1 is refused. *)
+let write_hello fd ~node_id =
   ignore
     (write_frame fd
        (Wire.encode (fun e ->
             Wire.Encoder.uint e node_id;
-            Wire.Encoder.uint e max_version)))
+            Wire.Encoder.uint e Wire_codec.version)))
 
 let read_hello fd =
   match read_frame fd with
@@ -93,24 +95,25 @@ let read_hello fd =
       Wire.Decoder.expect_end d;
       (node_id, max_version)
     with
-    | hello -> Ok hello
+    | node_id, max_version when max_version >= Wire_codec.version -> Ok node_id
+    | _, max_version ->
+      Error
+        (Corrupt
+           { pos = 0;
+             msg = Printf.sprintf "peer speaks wire v%d at most, v%d needed" max_version
+                 Wire_codec.version })
     | exception Wire.Decode_error { pos; msg } -> Error (Corrupt { pos; msg }))
 
-(* One negotiated connection speaks exactly one codec; the transport
-   instantiates this per peer after the hello exchange. Both directions
-   report the on-wire byte count (header + payload + CRC) so the
-   transport can feed its byte counters without re-measuring. *)
-module Codec (W : Wire_intf.WIRE with type msg = Grid_paxos.Types.msg) = struct
-  let version = W.version
-  let write_msg fd msg = write_frame fd (W.encode msg)
+(* Both directions report the on-wire byte count (header + payload +
+   CRC) so the transport can feed its byte counters without
+   re-measuring. *)
+let write_msg fd msg = write_frame fd (Wire_codec.encode msg)
 
-  let read_msg fd =
-    match read_frame fd with
-    | Error e -> Error e
-    | Ok payload -> (
-      match W.decode payload with
-      | Ok msg -> Ok (msg, 8 + String.length payload)
-      | Error e ->
-        Error
-          (Corrupt { pos = e.Wire_intf.pos; msg = Wire_intf.decode_error_to_string e }))
-end
+let read_msg fd =
+  match read_frame fd with
+  | Error e -> Error e
+  | Ok payload -> (
+    match Wire_codec.decode payload with
+    | Ok msg -> Ok (msg, 8 + String.length payload)
+    | Error e ->
+      Error (Corrupt { pos = e.Wire_intf.pos; msg = Wire_intf.decode_error_to_string e }))

@@ -39,22 +39,20 @@ val write_frame : Unix.file_descr -> string -> int
 val read_frame : Unix.file_descr -> (string, read_error) result
 (** Read one frame, verify the CRC, and return the payload. *)
 
-val write_hello : Unix.file_descr -> node_id:int -> max_version:int -> unit
-(** Connection handshake frame: node id plus the highest wire-protocol
-    version the sender speaks. Sent dialer-first; the listener answers
-    with its own hello and both sides settle on the minimum (see
-    {!Grid_paxos.Wire_codec.negotiate}). *)
+val write_hello : Unix.file_descr -> node_id:int -> unit
+(** Connection handshake frame: [uint node_id, uint max_version], the
+    version being {!Grid_paxos.Wire_codec.version}. Sent dialer-first;
+    the listener answers with its own hello. *)
 
-val read_hello : Unix.file_descr -> (int * int, read_error) result
-(** [(node_id, max_version)]. Hellos from pre-versioning builds carry no
-    version field and decode as [max_version = 1]. *)
+val read_hello : Unix.file_descr -> (int, read_error) result
+(** The peer's node id. A hello with no version field (a pre-versioning
+    build) counts as version 1, and any version of 1 or more settles on
+    V1; a hello advertising less is [Corrupt]. *)
 
-(** Per-connection message codec, instantiated with the negotiated
-    {!Grid_codec.Wire_intf.WIRE} version. Both directions report the
-    on-wire byte count (frame header + payload + CRC trailer) for the
-    transport's byte counters. *)
-module Codec (W : Grid_codec.Wire_intf.WIRE with type msg = Grid_paxos.Types.msg) : sig
-  val version : int
-  val write_msg : Unix.file_descr -> Grid_paxos.Types.msg -> int
-  val read_msg : Unix.file_descr -> (Grid_paxos.Types.msg * int, read_error) result
-end
+val write_msg : Unix.file_descr -> Grid_paxos.Types.msg -> int
+(** Write one message frame; returns the on-wire bytes (frame header +
+    payload + CRC trailer). Raises as {!write_frame}. *)
+
+val read_msg : Unix.file_descr -> (Grid_paxos.Types.msg * int, read_error) result
+(** Read and decode one message frame, with its on-wire byte count. A
+    payload the codec rejects is [Corrupt]. *)

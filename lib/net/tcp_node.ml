@@ -2,15 +2,13 @@ open Grid_paxos.Types
 module Rng = Grid_util.Rng
 module Span = Grid_obs.Span
 module Metrics = Grid_obs.Metrics
-module Wire_codec = Grid_paxos.Wire_codec
 
 let now_ms () = Unix.gettimeofday () *. 1000.0
 
 (* Transport counters, one registry per node. Unlike the simulator's
    metrics these count real socket traffic: dial attempts and failures
    feed the backoff story, sent/received feed throughput sanity checks,
-   and the byte counters price the wire format itself (the reason the
-   codec is versioned at all). *)
+   and the byte counters price the wire format itself. *)
 type net_meters = {
   registry : Metrics.t;
   nm_sent : Metrics.counter;
@@ -27,32 +25,20 @@ type net_meters = {
   nm_conns : Metrics.gauge;
   nm_backoff : (int, Metrics.gauge) Hashtbl.t;
       (* per-peer current reconnect delay, 0 when healthy *)
-  nm_wire_version : (int, Metrics.gauge) Hashtbl.t;
-      (* per-peer negotiated protocol version, 0 when disconnected *)
 }
 
-(* Per-peer gauge families: one gauge per peer, its id in the name. *)
-let backoff_family = "grid_net_backoff_ms"
-let version_family = "grid_net_wire_version"
-let peer_gauge_name family p = Printf.sprintf "%s_peer_%d" family p
-
-let peer_gauges registry peers family ~help =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun p -> Hashtbl.replace tbl p (Metrics.gauge registry (peer_gauge_name family p) ~help))
-    peers;
-  tbl
+(* Per-peer backoff gauges: one gauge per peer, its id in the name. *)
+let backoff_gauge_name p = Printf.sprintf "grid_net_backoff_ms_peer_%d" p
 
 let make_meters ~peers () =
   let registry = Metrics.create () in
-  let nm_backoff =
-    peer_gauges registry peers backoff_family
-      ~help:"Current reconnect backoff delay toward this peer (0 = healthy)"
-  in
-  let nm_wire_version =
-    peer_gauges registry peers version_family
-      ~help:"Wire-protocol version negotiated with this peer (0 = not connected)"
-  in
+  let nm_backoff = Hashtbl.create 8 in
+  List.iter
+    (fun p ->
+      Hashtbl.replace nm_backoff p
+        (Metrics.gauge registry (backoff_gauge_name p)
+           ~help:"Current reconnect backoff delay toward this peer (0 = healthy)"))
+    peers;
   let nm_bytes_by_kind = Hashtbl.create 16 in
   List.iter
     (fun kind ->
@@ -95,11 +81,10 @@ let make_meters ~peers () =
       Metrics.gauge registry "grid_net_connections"
         ~help:"Currently established peer connections";
     nm_backoff;
-    nm_wire_version;
   }
 
-let set_peer_gauge gauges peer v =
-  Option.iter (fun g -> Metrics.set g v) (Hashtbl.find_opt gauges peer)
+let set_backoff_gauge meters peer v =
+  Option.iter (fun g -> Metrics.set g v) (Hashtbl.find_opt meters.nm_backoff peer)
 
 let count_bytes meters msg n =
   Metrics.inc ~by:n meters.nm_bytes;
@@ -111,11 +96,8 @@ let count_bytes meters msg n =
    peer ids, so a node restarted against a different peer set must not
    inherit stale series from the previous incarnation. *)
 let release_meters meters =
-  List.iter
-    (fun (family, gauges) ->
-      Hashtbl.iter (fun p _ -> Metrics.unregister meters.registry (peer_gauge_name family p)) gauges;
-      Hashtbl.reset gauges)
-    [ (backoff_family, meters.nm_backoff); (version_family, meters.nm_wire_version) ]
+  Hashtbl.iter (fun p _ -> Metrics.unregister meters.registry (backoff_gauge_name p)) meters.nm_backoff;
+  Hashtbl.reset meters.nm_backoff
 
 (* Reconnect backoff: a peer that refused a dial is not redialed before a
    delay that doubles per consecutive failure, from [backoff_base_ms] up
@@ -125,26 +107,6 @@ let release_meters meters =
    constants are per-node state, settable at [start] time. *)
 let default_backoff_base_ms = 20.0
 let default_backoff_cap_ms = 2000.0
-
-(* ------------------------------------------------------------------ *)
-(* Per-connection codec: fixed at handshake time by version negotiation
-   and used for every frame on that socket in both directions. *)
-
-module type CONN_CODEC = sig
-  val write_msg : Unix.file_descr -> msg -> int
-  val read_msg : Unix.file_descr -> (msg * int, Framing.read_error) result
-end
-
-module Codec_v1 = Framing.Codec (Wire_codec.V1)
-module Codec_v2 = Framing.Codec (Wire_codec.V2)
-
-let conn_codec version : (module CONN_CODEC) =
-  match version with
-  | 1 -> (module Codec_v1)
-  | 2 -> (module Codec_v2)
-  | v -> invalid_arg (Printf.sprintf "Tcp_node.conn_codec: version %d" v)
-
-type conn = { fd : Unix.file_descr; version : int; codec : (module CONN_CODEC) }
 
 (* ------------------------------------------------------------------ *)
 (* Generic event loop: an inbox fed by reader threads, a timer queue, and
@@ -165,12 +127,11 @@ type pending_call = {
 
 type core = {
   node_id : int;
-  max_wire_version : int;  (* highest version advertised in hellos *)
   mutex : Mutex.t;
   inbox : (int * msg) Queue.t;
   thunks : (unit -> unit) Queue.t;  (* injected work, run on the loop thread *)
   mutable timers : (float * timer) list;  (* sorted by due time *)
-  mutable conns : (int * conn) list;
+  mutable conns : (int * Unix.file_descr) list;
   mutable stop : bool;
   pipe_r : Unix.file_descr;
   pipe_w : Unix.file_descr;
@@ -190,11 +151,7 @@ type core = {
 
 let create_core ?(obs = Span.Recorder.disabled)
     ?(backoff_base_ms = default_backoff_base_ms)
-    ?(backoff_cap_ms = default_backoff_cap_ms)
-    ?(max_wire_version = Wire_codec.latest_version) ~node_id ~actor ~addresses
-    () =
-  if max_wire_version < Wire_codec.min_version then
-    invalid_arg "Tcp_node.create_core: max_wire_version below min_version";
+    ?(backoff_cap_ms = default_backoff_cap_ms) ~node_id ~actor ~addresses () =
   (* A write to a peer that died must surface as EPIPE, which [send_msg]
      handles by dropping the connection; the default SIGPIPE action
      would kill the whole process instead. *)
@@ -203,7 +160,6 @@ let create_core ?(obs = Span.Recorder.disabled)
   Unix.set_nonblock pipe_r;
   {
     node_id;
-    max_wire_version;
     mutex = Mutex.create ();
     inbox = Queue.create ();
     thunks = Queue.create ();
@@ -266,21 +222,15 @@ let run_on_loop core f =
   Mutex.unlock m;
   Option.get !result
 
-let register_conn core peer conn =
+let register_conn core peer fd =
   with_lock core (fun () ->
-      core.conns <- (peer, conn) :: List.remove_assoc peer core.conns;
-      Metrics.set core.meters.nm_conns (float_of_int (List.length core.conns)));
-  set_peer_gauge core.meters.nm_wire_version peer (float_of_int conn.version)
+      core.conns <- (peer, fd) :: List.remove_assoc peer core.conns;
+      Metrics.set core.meters.nm_conns (float_of_int (List.length core.conns)))
 
 let drop_conn core peer =
   with_lock core (fun () ->
       core.conns <- List.remove_assoc peer core.conns;
-      Metrics.set core.meters.nm_conns (float_of_int (List.length core.conns)));
-  set_peer_gauge core.meters.nm_wire_version peer 0.0
-
-(* The negotiated version per live peer connection, for /health. *)
-let peer_versions core =
-  with_lock core (fun () -> List.map (fun (p, c) -> (p, c.version)) core.conns)
+      Metrics.set core.meters.nm_conns (float_of_int (List.length core.conns)))
 
 let note_corrupt core ~peer err =
   Metrics.inc core.meters.nm_decode_errors;
@@ -293,12 +243,11 @@ let note_corrupt core ~peer err =
    unresynchronizable stream — count it, note it, and drop the
    connection. Either way the socket is closed and the next send
    redials. *)
-let reader_thread core peer (conn : conn) =
-  let module C = (val conn.codec : CONN_CODEC) in
+let reader_thread core peer fd =
   let rec pump () =
     if core.stop then ()
     else
-      match C.read_msg conn.fd with
+      match Framing.read_msg fd with
       | Ok (msg, bytes) ->
         Metrics.inc ~by:bytes core.meters.nm_bytes_received;
         count_bytes core.meters msg bytes;
@@ -310,12 +259,11 @@ let reader_thread core peer (conn : conn) =
   in
   pump ();
   drop_conn core peer;
-  try Unix.close conn.fd with _ -> ()
+  try Unix.close fd with _ -> ()
 
 (* Get (or dial) the connection to [peer]; None if unreachable or still
-   backing off after a failed dial. Dialing performs the version
-   handshake synchronously: send our hello, read the listener's hello
-   back, settle on min(local, peer). *)
+   backing off after a failed dial. Dialing performs the handshake
+   synchronously: send our hello, read the listener's hello back. *)
 exception Handshake_failed of string
 
 let connection core peer =
@@ -337,42 +285,22 @@ let connection core peer =
         Metrics.inc core.meters.nm_dials;
         try
           let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-          let conn =
-            try
-              Unix.setsockopt fd TCP_NODELAY true;
-              Unix.connect fd addr;
-              Framing.write_hello fd ~node_id:core.node_id
-                ~max_version:core.max_wire_version;
-              let _peer_id, peer_max =
-                match Framing.read_hello fd with
-                | Ok hello -> hello
-                | Error e ->
-                  raise
-                    (Handshake_failed
-                       (Format.asprintf "%a" Framing.pp_read_error e))
-              in
-              let version =
-                match
-                  Wire_codec.negotiate ~local_max:core.max_wire_version
-                    ~peer_max
-                with
-                | Some v -> v
-                | None ->
-                  raise
-                    (Handshake_failed
-                       (Printf.sprintf "no common wire version (peer max %d)"
-                          peer_max))
-              in
-              { fd; version; codec = conn_codec version }
-            with e ->
-              (try Unix.close fd with _ -> ());
-              raise e
-          in
+          (try
+             Unix.setsockopt fd TCP_NODELAY true;
+             Unix.connect fd addr;
+             Framing.write_hello fd ~node_id:core.node_id;
+             match Framing.read_hello fd with
+             | Ok _peer_id -> ()
+             | Error e ->
+               raise (Handshake_failed (Format.asprintf "%a" Framing.pp_read_error e))
+           with e ->
+             (try Unix.close fd with _ -> ());
+             raise e);
           with_lock core (fun () -> Hashtbl.remove core.backoff peer);
-          set_peer_gauge core.meters.nm_backoff peer 0.0;
-          register_conn core peer conn;
-          ignore (Thread.create (fun () -> reader_thread core peer conn) ());
-          Some conn
+          set_backoff_gauge core.meters peer 0.0;
+          register_conn core peer fd;
+          ignore (Thread.create (fun () -> reader_thread core peer fd) ());
+          Some fd
         with
         | Unix.Unix_error _ | Framing.Closed | Handshake_failed _ ->
           Metrics.inc core.meters.nm_dial_failures;
@@ -391,7 +319,7 @@ let connection core peer =
               let wait = next *. (0.5 +. Rng.float core.rng 0.5) in
               Hashtbl.replace core.backoff peer (now +. wait, next));
           (match with_lock core (fun () -> Hashtbl.find_opt core.backoff peer) with
-          | Some (_, d) -> set_peer_gauge core.meters.nm_backoff peer d
+          | Some (_, d) -> set_backoff_gauge core.meters peer d
           | None -> ());
           None))
 
@@ -401,10 +329,9 @@ let send_msg core ~dst msg =
       ~kind:(msg_kind msg) ~dst;
   match connection core dst with
   | None -> ()  (* unreachable peer: retransmission recovers *)
-  | Some conn -> (
-    let module C = (val conn.codec : CONN_CODEC) in
+  | Some fd -> (
     try
-      let bytes = C.write_msg conn.fd msg in
+      let bytes = Framing.write_msg fd msg in
       Metrics.inc core.meters.nm_sent;
       Metrics.inc ~by:bytes core.meters.nm_bytes_sent;
       count_bytes core.meters msg bytes
@@ -491,7 +418,7 @@ let shutdown core =
   with_lock core (fun () ->
       Option.iter (fun pc -> finish_call core pc None) core.call;
       List.iter
-        (fun (_, c) -> try Unix.shutdown c.fd SHUTDOWN_ALL with _ -> ())
+        (fun (_, fd) -> try Unix.shutdown fd SHUTDOWN_ALL with _ -> ())
         core.conns)
 
 (* ------------------------------------------------------------------ *)
@@ -588,10 +515,9 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     listener : Unix.file_descr;
   }
 
-  (* Inbound handshake: read the dialer's hello, answer with ours, keep
-     the connection iff the version ranges overlap. A corrupt hello (or
-     a version gap) closes the socket; the dialer sees EOF and backs
-     off. *)
+  (* Inbound handshake: read the dialer's hello and answer with ours. A
+     corrupt hello, or one below V1, closes the socket; the dialer sees
+     EOF and backs off. *)
   let acceptor ?routes core listener =
     try
       while not core.stop do
@@ -602,28 +528,13 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
           ignore (Thread.create (fun () -> http_thread routes fd) ())
         | _ -> (
           match Framing.read_hello fd with
-          | Ok (peer, peer_max) -> (
-            match
-              Wire_codec.negotiate ~local_max:core.max_wire_version ~peer_max
-            with
-            | Some version -> (
-              match
-                Framing.write_hello fd ~node_id:core.node_id
-                  ~max_version:core.max_wire_version
-              with
-              | () ->
-                let conn = { fd; version; codec = conn_codec version } in
-                register_conn core peer conn;
-                ignore (Thread.create (fun () -> reader_thread core peer conn) ())
-              | exception (Framing.Closed | Unix.Unix_error _) -> (
-                try Unix.close fd with _ -> ()))
-            | None ->
-              note_corrupt core ~peer
-                (Framing.Corrupt
-                   { pos = 0;
-                     msg = Printf.sprintf "no common wire version (peer max %d)" peer_max
-                   });
-              (try Unix.close fd with _ -> ()))
+          | Ok peer -> (
+            match Framing.write_hello fd ~node_id:core.node_id with
+            | () ->
+              register_conn core peer fd;
+              ignore (Thread.create (fun () -> reader_thread core peer fd) ())
+            | exception (Framing.Closed | Unix.Unix_error _) -> (
+              try Unix.close fd with _ -> ()))
           | Error Eof -> ( try Unix.close fd with _ -> ())
           | Error (Corrupt _ as err) ->
             note_corrupt core ~peer:(-1) err;
@@ -632,7 +543,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     with Unix.Unix_error _ -> ()
 
   let start_replica ~cfg ~id ~port ~peers ?storage ?obs ?(flight_capacity = 2048)
-      ?backoff_base_ms ?backoff_cap_ms ?max_wire_version () =
+      ?backoff_base_ms ?backoff_cap_ms () =
     let actor = "r" ^ string_of_int id in
     (* Flight recorder: unless the caller supplies a recorder, keep a
        bounded always-on one — the last [flight_capacity] events are a
@@ -644,8 +555,8 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
       | None -> Span.Recorder.create ~capacity:flight_capacity ~enabled:true ()
     in
     let core =
-      create_core ~obs ?backoff_base_ms ?backoff_cap_ms ?max_wire_version
-        ~node_id:id ~actor ~addresses:peers ()
+      create_core ~obs ?backoff_base_ms ?backoff_cap_ms ~node_id:id ~actor
+        ~addresses:peers ()
     in
     (* Online invariant checks: counted in this node's registry and noted
        into the flight recorder, so /metrics and /flightrec both carry the
@@ -700,18 +611,12 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
       acts
     in
     let health () =
-      let peer_json =
-        peer_versions core
-        |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-        |> List.map (fun (p, v) -> Printf.sprintf {|"%d":%d|} p v)
-        |> String.concat ","
-      in
       run_on_loop core (fun () ->
           let now = now_ms () in
           let b = R.ballot replica in
           let shed_reads, shed_writes = R.stats_shed replica in
           Printf.sprintf
-            {|{"node":%d,"role":"%s","ballot":{"round":%d,"holder":%d},"commit_point":%d,"holds_lease":%b,"queue_depth":%d,"reads_inflight":%d,"shed_reads":%d,"shed_writes":%d,"watchdog_violations":%d,"reshard":{"epoch":%d,"phase":"%s","moved_ranges":%d,"imported_items":%d},"wire_version":%d,"peer_wire_versions":{%s}}|}
+            {|{"node":%d,"role":"%s","ballot":{"round":%d,"holder":%d},"commit_point":%d,"holds_lease":%b,"queue_depth":%d,"reads_inflight":%d,"shed_reads":%d,"shed_writes":%d,"watchdog_violations":%d,"reshard":{"epoch":%d,"phase":"%s","moved_ranges":%d,"imported_items":%d}}|}
             id
             (if R.is_leader replica then "leader" else "follower")
             b.Grid_paxos.Types.Ballot.round b.Grid_paxos.Types.Ballot.holder
@@ -721,8 +626,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
             shed_writes
             (Grid_obs.Watchdog.violations watchdog)
             (R.reshard_epoch replica) (R.reshard_phase replica)
-            (R.moved_ranges replica) (R.imported_items replica)
-            core.max_wire_version peer_json)
+            (R.moved_ranges replica) (R.imported_items replica))
     in
     let routes path =
       match path with
@@ -748,7 +652,6 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
   let replica_metrics h = h.r_core.meters.registry
   let replica_obs h = h.r_core.obs
   let replica_watchdog h = h.r_watchdog
-  let replica_peer_versions h = peer_versions h.r_core
 
   let stop_replica h =
     shutdown h.r_core;
@@ -761,14 +664,13 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
   type client_handle = { c_core : core; client : Client.t; c_loop : Thread.t }
 
   let start_client ~id ~replicas ?(retry_ms = 200.0) ?obs ?backoff_base_ms
-      ?backoff_cap_ms ?max_wire_version () =
+      ?backoff_cap_ms () =
     let cid = Grid_util.Ids.Client_id.of_int id in
     let client =
       Client.create ~id:cid ~replicas:(List.map fst replicas) ~retry_ms ?obs ()
     in
     let core =
-      create_core ?obs ?backoff_base_ms ?backoff_cap_ms ?max_wire_version
-        ~node_id:(client_node cid) ~actor:("c" ^ string_of_int id)
+      create_core ?obs ?backoff_base_ms ?backoff_cap_ms ~node_id:(client_node cid) ~actor:("c" ^ string_of_int id)
         ~addresses:replicas ()
     in
     (* [Client.handle] yields a reply only for its outstanding request,
@@ -836,7 +738,6 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     call h rtype ~payload:(S.encode_op op) ~timeout_s
 
   let client_metrics h = h.c_core.meters.registry
-  let client_peer_versions h = peer_versions h.c_core
 
   let stop_client h =
     shutdown h.c_core;

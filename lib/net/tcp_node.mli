@@ -12,14 +12,13 @@
     call's deadline is armed on the same loop: [select] never sleeps past
     it, and when it passes the loop ends the call with [None].
 
-    The handshake also negotiates the wire-protocol version: each side
-    sends the highest {!Grid_paxos.Wire_codec} version it speaks
-    (dialer first, listener answering) and the connection settles on the
-    minimum, so a cluster can be upgraded one replica at a time — old
-    and new builds interoperate on V1 until both ends speak V2. The
-    negotiated version is pinned per connection and visible as
-    [grid_net_wire_version_peer_<id>] gauges, in [GET /health], and via
-    {!Make.replica_peer_versions}.
+    Every connection opens with a hello each way (dialer first,
+    listener answering) carrying the node id and the highest wire
+    version the sender speaks. This build advertises 1 and speaks the
+    one codec {!Grid_paxos.Wire_codec} on every connection. A peer that
+    advertises more (an older build that also spoke a second codec)
+    settles on V1 too; a hello advertising less is refused like a
+    corrupt frame (DESIGN.md §15).
 
     A failed dial puts the peer on exponential backoff (doubling from
     [backoff_base_ms] to [backoff_cap_ms], default 20 ms to 2 s,
@@ -52,7 +51,7 @@
     instead of the protocol handshake. [GET /metrics] serves the node's
     registry in Prometheus exposition format, [GET /health] a one-line
     JSON summary (role, ballot, commit point, lease, admission queue
-    depths, watchdog violations, wire versions), and [GET /flightrec]
+    depths, watchdog violations, reshard state), and [GET /flightrec]
     the node's bounded always-on flight recorder as JSONL (readable back
     with {!Grid_obs.Span.load_string}). No extra port, thread pool or
     dependency: one short-lived thread per request.
@@ -77,7 +76,6 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
     ?flight_capacity:int ->
     ?backoff_base_ms:float ->
     ?backoff_cap_ms:float ->
-    ?max_wire_version:int ->
     unit ->
     replica_handle
   (** Bind [port], bootstrap the replica engine, and serve until
@@ -91,11 +89,7 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
       invariant watchdog ({!Grid_obs.Watchdog}) whose counters live in
       {!replica_metrics} and which honours
       [cfg.watchdog_fail_stop]. [backoff_base_ms]/[backoff_cap_ms] bound
-      the reconnect backoff toward dead peers (defaults 20/2000).
-      [max_wire_version] caps the wire-protocol version this node
-      advertises (default {!Grid_paxos.Wire_codec.latest_version});
-      pinning it to an older version emulates a not-yet-upgraded build
-      in rolling-upgrade tests. *)
+      the reconnect backoff toward dead peers (defaults 20/2000). *)
 
   val replica_is_leader : replica_handle -> bool
   val replica_commit_point : replica_handle -> int
@@ -104,8 +98,7 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
   val replica_metrics : replica_handle -> Grid_obs.Metrics.t
   (** This node's registry: transport counters (messages and bytes
       sent/received, per-kind bytes, decode errors, dial attempts and
-      failures, established connections, per-peer backoff and wire
-      version) and the watchdog violation counters. Served by
+      failures, established connections, per-peer backoff) and the watchdog violation counters. Served by
       [GET /metrics]. *)
 
   val replica_obs : replica_handle -> Grid_obs.Span.Recorder.t
@@ -114,9 +107,6 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
 
   val replica_watchdog : replica_handle -> Grid_obs.Watchdog.t
   (** The node's online invariant sink; zero on healthy runs. *)
-
-  val replica_peer_versions : replica_handle -> (int * int) list
-  (** [(peer, negotiated wire version)] for every live connection. *)
 
   val stop_replica : replica_handle -> unit
   (** Stop the loops, close the listener and connections, and release the
@@ -131,12 +121,11 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
     ?obs:Grid_obs.Span.Recorder.t ->
     ?backoff_base_ms:float ->
     ?backoff_cap_ms:float ->
-    ?max_wire_version:int ->
     unit ->
     client_handle
   (** Connect to every replica. The client keeps no listening socket;
-      replies arrive on the dialed connections. [obs], the backoff
-      bounds and [max_wire_version] are as for {!start_replica}. *)
+      replies arrive on the dialed connections. [obs] and the backoff
+      bounds are as for {!start_replica}. *)
 
   val call_op :
     client_handle ->
@@ -164,9 +153,6 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
       wire strings. *)
 
   val client_metrics : client_handle -> Grid_obs.Metrics.t
-
-  val client_peer_versions : client_handle -> (int * int) list
-  (** [(replica, negotiated wire version)] for every live connection. *)
 
   val stop_client : client_handle -> unit
   (** Stop the loop; a call in flight returns [None]. *)

@@ -398,9 +398,8 @@ let msg_tag = function
   | Sp_decide _ -> 15
 
 (* The body codec below is protocol version 1: the seed's unversioned
-   encoding, kept byte-identical so a V1-capped node interoperates with
-   every build since the seed. Version 2 (compact header, flag-gated
-   fields) lives in {!Wire_codec}. *)
+   encoding, kept byte-identical so every build since the seed can talk
+   to this one (test_wire pins its bytes). *)
 
 let encode_msg e = function
   | Client_req r ->

@@ -219,10 +219,10 @@ val msg_tag : msg -> int
 (** Stable on-wire constructor tag, shared by every codec version;
     never renumbered. *)
 
-(** Version-1 message body codec: the seed's unversioned encoding,
-    kept byte-identical for rolling-upgrade compatibility. The TCP
-    transport goes through {!Wire_codec} instead, which wraps this as
-    [V1] and adds the compact-header [V2]. *)
+(** The message codec, wire protocol version 1: the seed's unversioned
+    encoding, kept byte-identical so every build since the seed can talk
+    to this one. The TCP transport reaches it through {!Wire_codec},
+    which adds typed decode errors. *)
 
 val encode_msg : Grid_codec.Wire.Encoder.t -> msg -> unit
 val decode_msg : Grid_codec.Wire.Decoder.t -> msg

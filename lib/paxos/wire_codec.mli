@@ -1,32 +1,18 @@
-(** Versioned wire codecs for {!Types.msg}.
+(** The wire codec for {!Types.msg}.
 
-    [V1] is the seed's unversioned encoding (byte-identical); [V2] adds
-    a two-byte compact header — magic/version byte, then constructor tag
-    and per-message flags — and uses the flags to elide trace contexts,
-    absent lease anchors and redundant reply ids. Connections negotiate
-    [min (local_max, peer_max)] at dial time ({!negotiate}), so mixed
-    clusters interoperate during a rolling upgrade. See DESIGN.md §15
-    for the byte-level layout and compatibility policy. *)
+    One encoding, protocol version 1: the seed's unversioned body codec
+    ({!Types.encode_msg}), byte-identical to what every build since the
+    seed has spoken. The TCP hello still carries a version field (see
+    {!Grid_net.Framing.write_hello}); this build advertises {!version}.
+    See DESIGN.md §15. *)
 
-val min_version : int
-(** Oldest version this build still speaks (currently 1). *)
+val version : int
+(** The protocol version this codec implements (1), advertised in every
+    hello. *)
 
-val latest_version : int
-(** Newest version this build speaks (currently 2); the default
-    advertised in the hello exchange. *)
+val encode : Types.msg -> string
+(** Frame payload for one message (the framing adds length and CRC). *)
 
-val negotiate : local_max:int -> peer_max:int -> int option
-(** Version a connection settles on: [min local_max peer_max], or [None]
-    when that falls below {!min_version} (the peer is too old/new to
-    talk to). *)
-
-module V1 : Grid_codec.Wire_intf.WIRE with type msg = Types.msg
-module V2 : Grid_codec.Wire_intf.WIRE with type msg = Types.msg
-
-type codec = (module Grid_codec.Wire_intf.WIRE with type msg = Types.msg)
-
-val of_version : int -> codec option
-val of_version_exn : int -> codec
-val all : codec list
-(** Every supported codec, oldest first — for exhaustive cross-version
-    tests. *)
+val decode : string -> (Types.msg, Grid_codec.Wire_intf.decode_error) result
+(** Inverse of {!encode}. Rejects trailing bytes, truncations and
+    out-of-range tags with a typed error, never an exception. *)

@@ -4,14 +4,11 @@
 
 module Framing = Grid_net.Framing
 module Wire = Grid_codec.Wire
-module Wire_codec = Grid_paxos.Wire_codec
 module Counter = Grid_services.Counter
 module Config = Grid_paxos.Config
 open Grid_paxos.Types
 
 module Tcp = Grid_net.Tcp_node.Make (Counter)
-module C1 = Framing.Codec (Wire_codec.V1)
-module C2 = Framing.Codec (Wire_codec.V2)
 
 (* ------------------------------------------------------------------ *)
 (* Framing *)
@@ -94,29 +91,21 @@ let sample_msgs =
   ]
 
 let test_msg_wire_roundtrip () =
-  (* Both negotiated codecs must carry the same messages over a socket. *)
-  List.iter
-    (fun (name, write_msg, read_msg) ->
-      let a, b = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
-      Fun.protect
-        ~finally:(fun () ->
-          Unix.close a;
-          Unix.close b)
-        (fun () ->
-          List.iter (fun m -> ignore (write_msg a m)) sample_msgs;
-          List.iter
-            (fun expected ->
-              match read_msg b with
-              | Stdlib.Ok (got, bytes) ->
-                Alcotest.(check string)
-                  (name ^ ": message kinds match")
-                  (msg_kind expected) (msg_kind got);
-                Alcotest.(check bool) (name ^ ": byte count positive") true (bytes > 8)
-              | Stdlib.Error e ->
-                Alcotest.failf "%s: %s" name
-                  (Format.asprintf "%a" Framing.pp_read_error e))
-            sample_msgs))
-    [ ("v1", C1.write_msg, C1.read_msg); ("v2", C2.write_msg, C2.read_msg) ]
+  let a, b = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close a;
+      Unix.close b)
+    (fun () ->
+      let written = List.map (fun m -> Framing.write_msg a m) sample_msgs in
+      List.iter2
+        (fun expected wrote ->
+          match Framing.read_msg b with
+          | Stdlib.Ok (got, bytes) ->
+            Alcotest.(check string) "message kinds match" (msg_kind expected) (msg_kind got);
+            Alcotest.(check int) "both ends count the same bytes" wrote bytes
+          | Stdlib.Error e -> Alcotest.failf "%a" Framing.pp_read_error e)
+        sample_msgs written)
 
 (* ------------------------------------------------------------------ *)
 (* Loopback cluster *)
@@ -185,88 +174,6 @@ let test_loopback_cluster () =
             else if Unix.gettimeofday () > deadline then
               Alcotest.fail
                 (Printf.sprintf "replicas did not converge: %s"
-                   (String.concat "," (List.map string_of_int states)))
-            else begin
-              Thread.delay 0.02;
-              wait_converged ()
-            end
-          in
-          wait_converged ()))
-
-let test_loopback_mixed_versions () =
-  (* One replica capped at wire V1 (an un-upgraded build): connections
-     touching it negotiate V1, the V2↔V2 pair keeps V2, and the cluster
-     still commits. *)
-  let ports = Array.init 3 (fun _ -> free_port ()) in
-  let addr i = Unix.ADDR_INET (Unix.inet_addr_loopback, ports.(i)) in
-  let peers_of i =
-    List.filter_map (fun j -> if j = i then None else Some (j, addr j)) [ 0; 1; 2 ]
-  in
-  let cfg =
-    Config.make ~n:3 ~hb_period_ms:10.0 ~suspicion_ms:60.0 ~stability_ms:20.0
-      ~client_retry_ms:150.0 ~accept_retry_ms:50.0 ()
-  in
-  let version_of = function 1 -> 1 | _ -> 2 in
-  let replicas =
-    List.map
-      (fun i ->
-        Tcp.start_replica ~cfg ~id:i ~port:ports.(i) ~peers:(peers_of i)
-          ~max_wire_version:(version_of i) ())
-      [ 0; 1; 2 ]
-  in
-  Fun.protect
-    ~finally:(fun () -> List.iter Tcp.stop_replica replicas)
-    (fun () ->
-      let deadline = Unix.gettimeofday () +. 10.0 in
-      let rec wait_leader () =
-        if List.exists Tcp.replica_is_leader replicas then ()
-        else if Unix.gettimeofday () > deadline then
-          Alcotest.fail "no leader elected on mixed-version cluster"
-        else begin
-          Thread.delay 0.02;
-          wait_leader ()
-        end
-      in
-      wait_leader ();
-      let client =
-        Tcp.start_client ~id:1 ~replicas:(List.map (fun i -> (i, addr i)) [ 0; 1; 2 ]) ()
-      in
-      Fun.protect
-        ~finally:(fun () -> Tcp.stop_client client)
-        (fun () ->
-          for k = 1 to 5 do
-            match Tcp.call_op client (Counter.Add k) ~timeout_s:5.0 with
-            | Some reply ->
-              Alcotest.(check bool) "mixed-version write ok" true (reply.status = Ok)
-            | None -> Alcotest.fail (Printf.sprintf "mixed-version write %d timed out" k)
-          done;
-          (* Every negotiated version is min(local, peer). *)
-          List.iteri
-            (fun i h ->
-              List.iter
-                (fun (peer, v) ->
-                  if not (node_is_client peer) then
-                    Alcotest.(check int)
-                      (Printf.sprintf "replica %d <-> %d negotiated min" i peer)
-                      (min (version_of i) (version_of peer))
-                      v)
-                (Tcp.replica_peer_versions h))
-            replicas;
-          (* The client (latest) speaks V1 to the capped replica and V2 to
-             the rest. *)
-          List.iter
-            (fun (peer, v) ->
-              Alcotest.(check int)
-                (Printf.sprintf "client <-> replica %d negotiated min" peer)
-                (version_of peer) v)
-            (Tcp.client_peer_versions client);
-          let deadline = Unix.gettimeofday () +. 5.0 in
-          let rec wait_converged () =
-            let states = List.map Tcp.replica_state replicas in
-            if List.for_all (fun s -> s = 15) states then ()
-            else if Unix.gettimeofday () > deadline then
-              Alcotest.fail
-                (Printf.sprintf "mixed-version replicas did not converge: %s"
                    (String.concat "," (List.map string_of_int states)))
             else begin
               Thread.delay 0.02;
@@ -368,8 +275,7 @@ let test_admin_endpoint () =
             | Some reply -> Alcotest.(check bool) "write ok" true (reply.status = Ok)
             | None -> Alcotest.fail (Printf.sprintf "write %d timed out" k)
           done;
-          (* /health on the leader: role, commit point, zero violations,
-             wire-version visibility. *)
+          (* /health on the leader: role, commit point, zero violations. *)
           let status, body = http_get ports.(leader_id) "/health" in
           Alcotest.(check bool) "health 200" true (contains status "200");
           Alcotest.(check bool) "health says leader" true
@@ -378,11 +284,6 @@ let test_admin_endpoint () =
             (contains body {|"commit_point":|});
           Alcotest.(check bool) "health watchdog silent" true
             (contains body {|"watchdog_violations":0|});
-          Alcotest.(check bool) "health reports wire version" true
-            (contains body
-               (Printf.sprintf {|"wire_version":%d|} Wire_codec.latest_version));
-          Alcotest.(check bool) "health reports peer wire versions" true
-            (contains body {|"peer_wire_versions":{|});
           (* No migration has run: epoch 0, idle, nothing moved. *)
           Alcotest.(check bool) "health reports reshard state" true
             (contains body
@@ -397,8 +298,6 @@ let test_admin_endpoint () =
             (contains body "grid_net_bytes_total");
           Alcotest.(check bool) "metrics per-kind byte counters" true
             (contains body "grid_net_bytes_total_accept");
-          Alcotest.(check bool) "metrics per-peer wire version gauges" true
-            (contains body "grid_net_wire_version_peer_");
           Alcotest.(check bool) "metrics decode errors silent" true
             (contains body "grid_net_decode_errors_total 0");
           Alcotest.(check bool) "metrics watchdog silent" true
@@ -460,7 +359,7 @@ let test_sniff_dribbling_clients () =
          dribble its first bytes; the replica must still answer with its
          own hello instead of handing the socket to the HTTP responder. *)
       let sp_a, sp_b = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
-      Framing.write_hello sp_a ~node_id:9 ~max_version:Wire_codec.latest_version;
+      Framing.write_hello sp_a ~node_id:9;
       let hbuf = Bytes.create 256 in
       let hn = Unix.read sp_b hbuf 0 256 in
       Unix.close sp_a;
@@ -473,11 +372,28 @@ let test_sniff_dribbling_clients () =
           Unix.connect fd addr;
           dribble fd hello_raw ~head:3;
           match Framing.read_hello fd with
-          | Stdlib.Ok (peer, _) ->
+          | Stdlib.Ok peer ->
             Alcotest.(check int) "dribbled hello negotiated with replica" 0 peer
           | Stdlib.Error e ->
             Alcotest.failf "dribbled protocol peer misclassified: %a"
               Framing.pp_read_error e))
+
+(* Hellos written and read by hand, as an older or newer build would put
+   them on the wire: [uint node_id], then [uint max_version] unless
+   [version] is [None] (a pre-versioning build). *)
+let write_raw_hello fd ~node_id ~version =
+  ignore
+    (Framing.write_frame fd
+       (Wire.encode (fun e ->
+            Wire.Encoder.uint e node_id;
+            Option.iter (Wire.Encoder.uint e) version)))
+
+let read_raw_hello what fd =
+  let d = Wire.Decoder.of_string (read_frame_ok what fd) in
+  let node_id = Wire.Decoder.uint d in
+  let version = Wire.Decoder.uint d in
+  Wire.Decoder.expect_end d;
+  (node_id, version)
 
 let test_loopback_duplicate_request () =
   (* A client retransmission arriving after the commit must hit the dedup
@@ -524,17 +440,11 @@ let test_loopback_duplicate_request () =
           Unix.setsockopt_float fd SO_RCVTIMEO 5.0;
           Unix.connect fd (addr leader);
           let cid = Grid_util.Ids.Client_id.of_int 9 in
-          (* Speak the handshake by hand: advertise V2, read the
-             replica's hello back, and check the negotiation result. *)
-          Framing.write_hello fd ~node_id:(client_node cid) ~max_version:2;
-          (match Framing.read_hello fd with
-          | Stdlib.Ok (peer_id, peer_max) ->
-            Alcotest.(check int) "hello echoes the replica id" leader peer_id;
-            Alcotest.(check int) "replica advertises latest version"
-              Wire_codec.latest_version peer_max
-          | Stdlib.Error e ->
-            Alcotest.failf "hello ack: %s"
-              (Format.asprintf "%a" Framing.pp_read_error e));
+          (* Speak the handshake as an older build that also spoke V2
+             would: advertise 2, and get a hello advertising 1 back. *)
+          write_raw_hello fd ~node_id:(client_node cid) ~version:(Some 2);
+          Alcotest.(check (pair int int)) "replica answers with its id and V1" (leader, 1)
+            (read_raw_hello "hello ack" fd);
           let req =
             { id = Grid_util.Ids.Request_id.make ~client:cid ~seq:1;
               rtype = Write;
@@ -542,18 +452,18 @@ let test_loopback_duplicate_request () =
               trace = no_trace }
           in
           let read_reply what =
-            match C2.read_msg fd with
+            match Framing.read_msg fd with
             | Stdlib.Ok (Reply_msg r, _) -> r
             | Stdlib.Ok (m, _) -> Alcotest.failf "%s: expected a reply, got %s" what (msg_kind m)
             | Stdlib.Error e ->
               Alcotest.failf "%s: %s" what
                 (Format.asprintf "%a" Framing.pp_read_error e)
           in
-          ignore (C2.write_msg fd (Client_req req));
+          ignore (Framing.write_msg fd (Client_req req));
           let r1 = read_reply "first send" in
           Alcotest.(check bool) "first reply ok" true (r1.status = Ok);
           (* Retransmit the identical request after the commit. *)
-          ignore (C2.write_msg fd (Client_req req));
+          ignore (Framing.write_msg fd (Client_req req));
           let r2 = read_reply "duplicate send" in
           Alcotest.(check bool) "cached reply ok" true (r2.status = Ok);
           Alcotest.(check string) "cached reply payload identical" r1.payload
@@ -609,6 +519,72 @@ let test_sigpipe_ignored () =
       | exception Unix.Unix_error (EPIPE, _, _) -> ()
       | exception Framing.Closed -> ())
 
+(* An older build that also spoke V2 advertises 2 in its hellos; this
+   build advertises 1, and the two settle on V1 whichever side dials
+   (the dialer side is [test_loopback_duplicate_request]). A hello with
+   no version field is a pre-versioning V1 peer; one advertising 0 is
+   refused: counted as a decode error, socket closed unanswered. *)
+let test_old_peer_hellos () =
+  let port = free_port () in
+  let peer = Unix.socket PF_INET SOCK_STREAM 0 in
+  Unix.bind peer (ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen peer 4;
+  (* Replica 0 of a 2-replica group whose replica 1 is this test. *)
+  let cfg = Config.make ~n:2 ~hb_period_ms:10.0 ~suspicion_ms:60.0 ~stability_ms:20.0 () in
+  let r = Tcp.start_replica ~cfg ~id:0 ~port ~peers:[ (1, Unix.getsockname peer) ] () in
+  let connect () =
+    let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+    Unix.setsockopt_float fd SO_RCVTIMEO 5.0;
+    Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port));
+    fd
+  in
+  Fun.protect
+    ~finally:(fun () -> Tcp.stop_replica r)
+    (fun () ->
+      let ready = Unix.select [ peer ] [] [] 10.0 <> ([], [], []) in
+      let fd, _ = if ready then Unix.accept peer else Alcotest.fail "the replica never dialed its peer" in
+      (* Later dials must be refused, not left waiting for a hello: the
+         dial's handshake runs on the replica's loop thread. *)
+      Unix.close peer;
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.setsockopt_float fd SO_RCVTIMEO 5.0;
+          Alcotest.(check (pair int int)) "dialer's hello: its id and V1" (0, 1)
+            (read_raw_hello "dialer's hello" fd);
+          write_raw_hello fd ~node_id:1 ~version:(Some 2);
+          (* V1 frames both ways: promise the replica's Prepare and it
+             wins its election on this peer's vote. *)
+          let rec await_prepare () =
+            match Framing.read_msg fd with
+            | Stdlib.Ok (Prepare { ballot; _ }, _) -> ballot
+            | Stdlib.Ok _ -> await_prepare ()
+            | Stdlib.Error e -> Alcotest.failf "V1 frame from the replica: %a" Framing.pp_read_error e
+          in
+          let ballot = await_prepare () in
+          ignore
+            (Framing.write_msg fd
+               (Prepare_ack { ballot; commit_point = 0; snapshot = None; accepted = [] }));
+          let deadline = Unix.gettimeofday () +. 5.0 in
+          while (not (Tcp.replica_is_leader r)) && Unix.gettimeofday () < deadline do
+            Thread.delay 0.01
+          done;
+          Alcotest.(check bool) "elected on the promise sent as V1" true (Tcp.replica_is_leader r));
+      let client = client_node (Grid_util.Ids.Client_id.of_int 9) in
+      let fd = connect () in
+      write_raw_hello fd ~node_id:client ~version:None;
+      Alcotest.(check (pair int int)) "versionless hello answered with V1" (0, 1)
+        (read_raw_hello "hello ack" fd);
+      Unix.close fd;
+      let fd = connect () in
+      write_raw_hello fd ~node_id:client ~version:(Some 0);
+      Alcotest.(check bool) "hello below V1 closed unanswered" true
+        (Framing.read_frame fd = Stdlib.Error Framing.Eof);
+      Unix.close fd;
+      Alcotest.(check (option int)) "refusal counted" (Some 1)
+        (metric_value (Grid_obs.Metrics.expose (Tcp.replica_metrics r))
+           "grid_net_decode_errors_total"))
+
 (* A message whose frame exceeds [Framing.max_frame] is dropped and
    counted; the sender's event loop and its connection survive. The
    oversized request stays outstanding at its client, so the loop's own
@@ -654,8 +630,9 @@ let test_oversized_frame_dropped () =
           Alcotest.(check bool) "drop counted" true (await_drops 1);
           Alcotest.(check bool) "the loop keeps retransmitting" true
             (await_drops (dropped () + 1));
-          Alcotest.(check int) "connection kept" 1
-            (List.length (Tcp_kv.client_peer_versions big)));
+          Alcotest.(check (option int)) "connection kept" (Some 1)
+            (metric_value (Grid_obs.Metrics.expose (Tcp_kv.client_metrics big))
+               "grid_net_connections"));
       let small = Tcp_kv.start_client ~id:2 ~replicas:[ (0, addr) ] () in
       Fun.protect
         ~finally:(fun () -> Tcp_kv.stop_client small)
@@ -843,13 +820,11 @@ let suite =
         Alcotest.test_case "closed" `Quick test_framing_closed;
         Alcotest.test_case "corruption" `Quick test_framing_corruption;
         Alcotest.test_case "truncated body" `Quick test_framing_truncated_body;
-        Alcotest.test_case "msg wire roundtrip (v1+v2)" `Quick test_msg_wire_roundtrip;
+        Alcotest.test_case "msg wire roundtrip (v1)" `Quick test_msg_wire_roundtrip;
       ] );
     ( "net.loopback",
       [
         Alcotest.test_case "3-replica cluster + client" `Slow test_loopback_cluster;
-        Alcotest.test_case "mixed wire versions negotiate min" `Slow
-          test_loopback_mixed_versions;
         Alcotest.test_case "admin endpoint serves metrics/health/flightrec" `Slow
           test_admin_endpoint;
         Alcotest.test_case "duplicate request hits the dedup table" `Slow
@@ -859,6 +834,8 @@ let suite =
         Alcotest.test_case "SIGPIPE ignored" `Quick test_sigpipe_ignored;
         Alcotest.test_case "oversized frame dropped, loop survives" `Slow
           test_oversized_frame_dropped;
+        Alcotest.test_case "v2 and versionless peers settle on v1" `Slow
+          test_old_peer_hellos;
       ] );
     ( "net.call",
       [

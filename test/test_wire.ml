@@ -1,15 +1,13 @@
-(* Property and fuzz tier for the versioned wire codecs (V1, V2).
+(* Property and fuzz tier for the wire codec (V1, DESIGN.md §15).
 
    Three obligations:
-   - every [Types.msg] constructor roundtrips through every codec
-     version (exhaustive samples + randomized instances);
+   - every [Types.msg] constructor roundtrips (exhaustive samples +
+     randomized instances);
+   - the bytes are the seed's: golden encodings pinned as hex;
    - decoding is total: truncations, byte flips and random garbage
-     produce a typed [Error], never an exception or silent garbage;
-   - the version plumbing (negotiate, of_version, header magic,
-     reserved flag bits, cross-version rejection) behaves as
-     DESIGN.md §15 specifies.
+     produce a typed [Error], never an exception or silent garbage.
 
-   Message equality goes through the canonical V1 body encoding rather
+   Message equality goes through the canonical body encoding rather
    than [(=)]: lease anchors and heartbeat clocks are floats that can be
    [nan], and [nan <> nan] would fail structural comparison on messages
    that are byte-identical on the wire. *)
@@ -20,11 +18,8 @@ module Wire = Grid_codec.Wire
 module Wire_intf = Grid_codec.Wire_intf
 module Ids = Grid_util.Ids
 
-let codecs =
-  [ (module WC.V1 : Wire_intf.WIRE with type msg = Types.msg); (module WC.V2) ]
-
-(* Canonical bytes of a message: the V1 body encoding (no header). Equal
-   canon = equal message, nan-safe. *)
+(* Canonical bytes of a message: the body encoding. Equal canon = equal
+   message, nan-safe. *)
 let canon m = Wire.encode (fun e -> Types.encode_msg e m)
 
 (* ------------------------------------------------------------------ *)
@@ -48,15 +43,14 @@ let proposal_aligned : Types.proposal =
     replies = [ reply 1; reply 2 ] }
 
 let proposal_misaligned : Types.proposal =
-  (* Reply ids do not match the request batch: V2 must fall back to the
-     positional-id-free encoding. *)
+  (* Reply ids do not match the request batch. *)
   { requests = [ req 1 ];
     update = Types.Full "state";
     replies = [ reply 9 ] }
 
-(* At least one sample per constructor, plus the variants that exercise
-   each V2 flag and escape path (traced/untraced, lease present/absent,
-   aligned/misaligned, option arms). *)
+(* At least one sample per constructor, plus the variants of each
+   optional part (traced/untraced, lease present/absent,
+   aligned/misaligned replies, option arms). *)
 let sample_msgs : (string * Types.msg) list =
   [
     ("client_req", Client_req (req 1));
@@ -127,101 +121,50 @@ let test_every_constructor_roundtrips () =
   in
   Alcotest.(check int) "all 16 tags sampled" 16 (List.length tags);
   List.iter
-    (fun (module W : Wire_intf.WIRE with type msg = Types.msg) ->
-      List.iter
-        (fun (name, m) ->
-          match W.decode (W.encode m) with
-          | Stdlib.Ok m' ->
-            Alcotest.(check string)
-              (Printf.sprintf "v%d %s" W.version name)
-              (canon m) (canon m')
-          | Stdlib.Error e ->
-            Alcotest.fail
-              (Printf.sprintf "v%d %s: %s" W.version name
-                 (Wire_intf.decode_error_to_string e)))
-        sample_msgs)
-    codecs
+    (fun (name, m) ->
+      match WC.decode (WC.encode m) with
+      | Stdlib.Ok m' -> Alcotest.(check string) name (canon m) (canon m')
+      | Stdlib.Error e ->
+        Alcotest.fail
+          (Printf.sprintf "%s: %s" name (Wire_intf.decode_error_to_string e)))
+    sample_msgs
 
-(* ------------------------------------------------------------------ *)
-(* Version plumbing. *)
+let hex s =
+  String.concat "" (List.of_seq (Seq.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (String.to_seq s)))
 
-let test_negotiate () =
-  Alcotest.(check (option int)) "min wins" (Some 1)
-    (WC.negotiate ~local_max:2 ~peer_max:1);
-  Alcotest.(check (option int)) "symmetric" (Some 1)
-    (WC.negotiate ~local_max:1 ~peer_max:2);
-  Alcotest.(check (option int)) "latest" (Some 2)
-    (WC.negotiate ~local_max:2 ~peer_max:2);
-  Alcotest.(check (option int)) "future peer capped" (Some 2)
-    (WC.negotiate ~local_max:2 ~peer_max:9);
-  Alcotest.(check (option int)) "below min rejected" None
-    (WC.negotiate ~local_max:2 ~peer_max:0)
-
-let test_of_version () =
+(* The encodings every build since the seed has put on the wire, taken
+   from the seed's codec. A changed byte breaks every older peer. *)
+let test_golden_bytes () =
+  let accept =
+    Types.Accept
+      { ballot; instance = 42;
+        proposal =
+          { proposal_aligned with requests = [ req ~trace:traced 1; req ~trace:traced 2 ] } }
+  in
   List.iter
-    (fun v ->
-      match WC.of_version v with
-      | Some (module W : Wire_intf.WIRE with type msg = Types.msg) ->
-        Alcotest.(check int) "version field" v W.version
-      | None -> Alcotest.fail (Printf.sprintf "version %d should resolve" v))
-    [ 1; 2 ];
-  Alcotest.(check bool) "0 unknown" true (WC.of_version 0 = None);
-  Alcotest.(check bool) "3 unknown" true (WC.of_version 3 = None);
-  Alcotest.check_raises "of_version_exn on unknown"
-    (Invalid_argument "Wire_codec.of_version_exn: version 9") (fun () ->
-      ignore (WC.of_version_exn 9))
+    (fun (name, m, expected) -> Alcotest.(check string) name expected (hex (WC.encode m)))
+    [
+      ("client_req", Types.Client_req (req ~trace:traced 1), "00040101026f704d067370616e2d33");
+      ( "accept", accept,
+        "0406022a02040101026f704d067370616e2d33040201026f704d067370616e2d33010164020401000372657304020003726573"
+      );
+      ( "heartbeat leased",
+        Types.Heartbeat
+          { round_seen = 3; commit_point = 41; promised = ballot; sent_at = 99.25;
+            lease_anchor = 98.0 },
+        "09032906020000000000d058400000000000805840" );
+    ]
 
 let is_error = function Stdlib.Error _ -> true | Stdlib.Ok _ -> false
 
-let test_cross_version_rejection () =
-  (* A V2 frame starts with the 0xA2 header byte, which V1 reads as an
-     out-of-range message tag; a V1 frame starts with a tag varint that
-     fails V2's magic check. Neither can be misparsed as the other. *)
-  List.iter
-    (fun (_, m) ->
-      Alcotest.(check bool) "v1 rejects v2 bytes" true
-        (is_error (WC.V1.decode (WC.V2.encode m)));
-      Alcotest.(check bool) "v2 rejects v1 bytes" true
-        (is_error (WC.V2.decode (WC.V1.encode m))))
-    sample_msgs
-
-let test_v2_header_validation () =
-  let m = Types.Accept { ballot; instance = 42; proposal = proposal_aligned } in
-  let s = WC.V2.encode m in
-  Alcotest.(check int) "magic nibble" 0xA (Char.code s.[0] lsr 4);
-  Alcotest.(check int) "version nibble" 2 (Char.code s.[0] land 0xF);
-  (* Reserved flag bit: a decoder that ignored it would silently
-     misparse frames from a future minor revision. *)
-  let reserved = Bytes.of_string s in
-  Bytes.set reserved 1 (Char.chr (Char.code s.[1] lor 0x80));
-  Alcotest.(check bool) "reserved flag rejected" true
-    (is_error (WC.V2.decode (Bytes.to_string reserved)));
-  (* Future version in the header: not ours to parse. *)
-  let future = Bytes.of_string s in
-  Bytes.set future 0 (Wire_intf.header_byte ~version:3);
-  Alcotest.(check bool) "future version rejected" true
-    (is_error (WC.V2.decode (Bytes.to_string future)));
-  (* Degenerate inputs. *)
-  List.iter
-    (fun (module W : Wire_intf.WIRE with type msg = Types.msg) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "v%d empty rejected" W.version)
-        true
-        (is_error (W.decode ""));
-      Alcotest.(check bool)
-        (Printf.sprintf "v%d one byte rejected" W.version)
-        true
-        (is_error (W.decode "\xA2")))
-    codecs
-
 let test_decode_error_metadata () =
   List.iter
-    (fun (module W : Wire_intf.WIRE with type msg = Types.msg) ->
-      match W.decode "" with
-      | Stdlib.Error e ->
-        Alcotest.(check int) "error names its codec" W.version e.version
-      | Stdlib.Ok _ -> Alcotest.fail "empty input decoded")
-    codecs
+    (fun s ->
+      Alcotest.(check bool) (Printf.sprintf "%S rejected" s) true (is_error (WC.decode s)))
+    [ ""; "\xA2"; "\x10" ];
+  match WC.decode "" with
+  | Stdlib.Error e -> Alcotest.(check int) "error names its codec" WC.version e.version
+  | Stdlib.Ok _ -> Alcotest.fail "empty input decoded"
 
 (* ------------------------------------------------------------------ *)
 (* Randomized instances and fuzz. *)
@@ -277,8 +220,7 @@ let gen_reply_for (r : Types.request) =
 
 let gen_proposal =
   (* Half the time the replies line up with the request batch (the
-     committed-entry shape V2 encodes positionally), half the time they
-     do not. *)
+     committed-entry shape), half the time they do not. *)
   let open Gen in
   gen_request >>= fun r1 ->
   gen_request >>= fun r2 ->
@@ -328,61 +270,43 @@ let gen_msg =
       Types.Sp_ack { instance = n; round = 2 };
       Types.Sp_decide { instance = n; proposal = p } ]
 
-let prop_roundtrip (module W : Wire_intf.WIRE with type msg = Types.msg) =
-  Test.make
-    ~name:(Printf.sprintf "v%d roundtrips random messages" W.version)
-    ~count:400 gen_msg (fun m ->
-      match W.decode (W.encode m) with
+let prop_roundtrip =
+  Test.make ~name:"v1 roundtrips random messages" ~count:400 gen_msg (fun m ->
+      match WC.decode (WC.encode m) with
       | Stdlib.Ok m' -> canon m' = canon m
       | Stdlib.Error _ -> false)
 
-let prop_cross_version_agreement =
-  (* Decoding a message through either version yields the same message
-     (canonically) — upgrading a link cannot change what is delivered. *)
-  Test.make ~name:"v1/v2 decode to the same message" ~count:400 gen_msg (fun m ->
-      match (WC.V1.decode (WC.V1.encode m), WC.V2.decode (WC.V2.encode m)) with
-      | Stdlib.Ok a, Stdlib.Ok b -> canon a = canon b
-      | _ -> false)
-
 (* Decoding never raises: every mangled input yields Ok or a typed
    Error. (An [Ok] is legitimate — a flip inside a payload string is a
-   different valid message; a truncation at a flag-gated tail decodes
+   different valid message; a truncation at an optional tail decodes
    with the field absent.) *)
-let total_decode (module W : Wire_intf.WIRE with type msg = Types.msg) s =
-  match W.decode s with
+let total_decode s =
+  match WC.decode s with
   | Stdlib.Ok _ | Stdlib.Error _ -> true
   | exception e ->
-    Printf.eprintf "v%d decode raised %s\n" W.version (Printexc.to_string e);
+    Printf.eprintf "decode raised %s\n" (Printexc.to_string e);
     false
 
-let prop_truncation_total (module W : Wire_intf.WIRE with type msg = Types.msg)
-    =
-  Test.make
-    ~name:(Printf.sprintf "v%d truncated frames decode totally" W.version)
-    ~count:400
+let prop_truncation_total =
+  Test.make ~name:"v1 truncated frames decode totally" ~count:400
     Gen.(pair gen_msg (int_bound 1000))
     (fun (m, cut) ->
-      let s = W.encode m in
-      let s = String.sub s 0 (cut mod max 1 (String.length s)) in
-      total_decode (module W) s)
+      let s = WC.encode m in
+      total_decode (String.sub s 0 (cut mod max 1 (String.length s))))
 
-let prop_byteflip_total (module W : Wire_intf.WIRE with type msg = Types.msg) =
-  Test.make
-    ~name:(Printf.sprintf "v%d byte-flipped frames decode totally" W.version)
-    ~count:600
+let prop_byteflip_total =
+  Test.make ~name:"v1 byte-flipped frames decode totally" ~count:600
     Gen.(triple gen_msg (int_bound 10_000) (int_range 1 255))
     (fun (m, pos, x) ->
-      let s = Bytes.of_string (W.encode m) in
+      let s = Bytes.of_string (WC.encode m) in
       let pos = pos mod Bytes.length s in
       Bytes.set s pos (Char.chr (Char.code (Bytes.get s pos) lxor x));
-      total_decode (module W) (Bytes.to_string s))
+      total_decode (Bytes.to_string s))
 
-let prop_garbage_total (module W : Wire_intf.WIRE with type msg = Types.msg) =
-  Test.make
-    ~name:(Printf.sprintf "v%d random garbage decodes totally" W.version)
-    ~count:600
+let prop_garbage_total =
+  Test.make ~name:"v1 random garbage decodes totally" ~count:600
     Gen.(string_size (int_bound 64))
-    (fun s -> total_decode (module W) s)
+    total_decode
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -392,21 +316,11 @@ let suite =
       [
         Alcotest.test_case "every constructor roundtrips" `Quick
           test_every_constructor_roundtrips;
-        Alcotest.test_case "negotiate" `Quick test_negotiate;
-        Alcotest.test_case "of_version" `Quick test_of_version;
-        Alcotest.test_case "cross-version rejection" `Quick
-          test_cross_version_rejection;
-        Alcotest.test_case "v2 header validation" `Quick
-          test_v2_header_validation;
+        Alcotest.test_case "v1 golden bytes" `Quick test_golden_bytes;
         Alcotest.test_case "decode errors name their codec" `Quick
           test_decode_error_metadata;
       ] );
     ( "wire.properties",
       qcheck
-        (List.concat_map
-           (fun w ->
-             [ prop_roundtrip w; prop_truncation_total w; prop_byteflip_total w;
-               prop_garbage_total w ])
-           codecs
-        @ [ prop_cross_version_agreement ]) );
+        [ prop_roundtrip; prop_truncation_total; prop_byteflip_total; prop_garbage_total ] );
   ]
