@@ -60,7 +60,6 @@ module Txn = struct
   let create () = { prepared = Hashtbl.create 8; outcomes = Hashtbl.create 32 }
   let find t tid = Hashtbl.find_opt t.prepared tid
   let outcome t tid = Hashtbl.find_opt t.outcomes tid
-  let count t = Hashtbl.length t.prepared
 
   let tids t =
     Hashtbl.fold (fun tid _ acc -> tid :: acc) t.prepared [] |> List.sort Int.compare

@@ -27,7 +27,6 @@ module Txn : sig
   val outcome : t -> int -> bool option
   (** Decision tombstone: [Some true] committed, [Some false] aborted. *)
 
-  val count : t -> int
   val tids : t -> int list
   (** Prepared, undecided tids, ascending. *)
 

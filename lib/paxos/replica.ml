@@ -569,20 +569,22 @@ module Make (S : Service_intf.S) = struct
     ignore (Plog.commit t.log ~instance:fl.fl_instance);
     t.storage.persist_commit (Plog.commit_point t.log);
     t.app_state <- fl.fl_post_state;
-    let prepared_before = Participant.Txn.count t.txns in
+    let prepared_before = Participant.Txn.tids t.txns in
     let frozen_before = t.reshard.frozen in
     record_commit_bookkeeping t ~instance:fl.fl_instance fl.fl_proposal;
     (* A decision instance just released a prepared cross-shard lock, or
        a reshard decision resolved the frozen range (COMMIT turns it
        into a moved range, ABORT thaws it): work parked behind either
-       becomes eligible again. Re-queue the lot — the batch re-checks
-       each against the remaining locks, answering [Wrong_epoch] for
-       work whose range moved away. *)
-    if
-      (Participant.Txn.count t.txns < prepared_before
-      || (frozen_before <> None && t.reshard.frozen = None))
-      && l.l_blocked <> []
-    then begin
+       becomes eligible again. The same instance may take a new lock
+       too, so look for a released holder, not a smaller count.
+       Re-queue the lot — the batch re-checks each against the
+       remaining locks, answering [Wrong_epoch] for work whose range
+       moved away. *)
+    let released =
+      List.exists (fun tid -> Participant.Txn.find t.txns tid = None) prepared_before
+      || (frozen_before <> None && t.reshard.frozen <> frozen_before)
+    in
+    if released && l.l_blocked <> [] then begin
       List.iter (fun w -> Queue.add w l.l_queue) (List.rev l.l_blocked);
       l.l_blocked <- []
     end;

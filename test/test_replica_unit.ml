@@ -670,6 +670,57 @@ let test_restart_lease_blackout () =
   Alcotest.(check bool) "promises again after the blackout" true
     (List.mem "prepare_ack" (H.pending_kinds t))
 
+(* Work parked behind a prepared cross-shard branch must be re-queued as
+   soon as that branch's decision commits, even when the same instance
+   also prepares another branch and the prepared count stays the same. *)
+module Kv = Grid_services.Kv_store
+module HK = H.Make (Kv)
+
+let test_parked_write_requeued_on_release () =
+  let t = HK.create () in
+  HK.elect t 0;
+  let put key value = Kv.encode_op (Kv.Put { key; value }) in
+  let ops_count n = Grid_codec.Wire.encode (fun e -> Grid_codec.Wire.Encoder.uint e n) in
+  let req client seq rtype payload = HK.client_request ~client ~seq ~rtype ~payload () in
+  let tid_a = 1_000_000_001 and tid_b = 1_000_000_002 in
+  let reply_to client =
+    List.filter (fun (r : reply) -> Ids.Client_id.to_int r.req.client = client) (HK.take_replies t)
+  in
+  (* Client 1 prepares branch A, which locks key "a". *)
+  HK.submit t (req 1 1 (Txn_op tid_a) (put "a" "1"));
+  HK.submit t (req 1 2 (Txn_prepare tid_a) (ops_count 1));
+  HK.deliver_all t;
+  Alcotest.(check int) "branch A prepared" 2 (List.length (reply_to 1));
+  (* Client 2's write to "a" parks behind branch A. *)
+  HK.submit t (req 2 1 Write (put "a" "2"));
+  HK.deliver_all t;
+  Alcotest.(check int) "write parked" 0 (List.length (reply_to 2));
+  (* Client 3 builds branch B on key "b". *)
+  HK.submit t (req 3 1 (Txn_op tid_b) (put "b" "1"));
+  HK.deliver_all t;
+  ignore (HK.take_replies t);
+  (* One instance decides A and prepares B: a write to "c" holds the
+     pipeline so both batch behind it. *)
+  HK.submit t (req 4 1 Write (put "c" "1"));
+  HK.submit t (req 1 3 (Txn_commit tid_a) "");
+  HK.submit t (req 3 2 (Txn_prepare tid_b) (ops_count 1));
+  HK.deliver_all t;
+  let leader = t.replicas.(0) in
+  let instance_of rtype =
+    List.find_map
+      (fun (i, reqs, _) ->
+        if List.exists (fun (r : request) -> r.rtype = rtype) reqs then Some i else None)
+      (HK.Replica.committed_updates leader)
+  in
+  Alcotest.(check bool) "A decided and B prepared in one instance" true
+    (instance_of (Txn_commit tid_a) <> None
+    && instance_of (Txn_commit tid_a) = instance_of (Txn_prepare tid_b));
+  Alcotest.(check (list int)) "only B still prepared" [ tid_b ]
+    (HK.Replica.prepared_txns leader);
+  match reply_to 2 with
+  | [ r ] -> Alcotest.(check bool) "parked write ran once A was decided" true (r.status = Ok)
+  | rs -> Alcotest.failf "parked write: %d replies" (List.length rs)
+
 let suite =
   [
     ( "replica.engine",
@@ -706,6 +757,8 @@ let suite =
           test_confirm_requires_current_ballot;
         Alcotest.test_case "leadership loss returns Retry" `Quick
           test_leadership_loss_returns_retry;
+        Alcotest.test_case "parked write re-queued when its lock is released" `Quick
+          test_parked_write_requeued_on_release;
       ] );
     ( "replica.lease",
       [
