@@ -820,7 +820,7 @@ let suite =
         Alcotest.test_case "closed" `Quick test_framing_closed;
         Alcotest.test_case "corruption" `Quick test_framing_corruption;
         Alcotest.test_case "truncated body" `Quick test_framing_truncated_body;
-        Alcotest.test_case "msg wire roundtrip (v1)" `Quick test_msg_wire_roundtrip;
+        Alcotest.test_case "msg wire roundtrip (v1 codec)" `Quick test_msg_wire_roundtrip;
       ] );
     ( "net.loopback",
       [
