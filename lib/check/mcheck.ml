@@ -819,8 +819,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
       S.encode_op op )
 
   let explore ?obs ?(seed = 1) ?(steps = 5_000) ?(max_down = 1) ?(nemesis = no_faults)
-      ?(disable_dedup = false) ?(cfg_tweak = Fun.id) ?(requests = [])
-      () =
+      ?(disable_dedup = false) ?(cfg_tweak = Fun.id) ?(requests = []) () =
     run_mode ?obs ~seed ~steps ~max_down ~meta_drop_prob:nemesis.meta_drop_prob
       ~disable_dedup ~cfg_tweak ~requests
       ~mode:(Record { nem = nemesis; frng = Rng.of_int (seed lxor 0x6e656d) })

@@ -541,11 +541,14 @@ let test_old_peer_hellos () =
   Fun.protect
     ~finally:(fun () -> Tcp.stop_replica r)
     (fun () ->
-      let ready = Unix.select [ peer ] [] [] 10.0 <> ([], [], []) in
-      let fd, _ = if ready then Unix.accept peer else Alcotest.fail "the replica never dialed its peer" in
+      let dialed = Unix.select [ peer ] [] [] 10.0 <> ([], [], []) in
+      let accepted = if dialed then Some (Unix.accept peer) else None in
       (* Later dials must be refused, not left waiting for a hello: the
          dial's handshake runs on the replica's loop thread. *)
       Unix.close peer;
+      let fd, _ =
+        match accepted with Some a -> a | None -> Alcotest.fail "the replica never dialed its peer"
+      in
       Fun.protect
         ~finally:(fun () -> Unix.close fd)
         (fun () ->
