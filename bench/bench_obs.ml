@@ -26,7 +26,7 @@ module Noop = Grid_services.Noop
 module RT = Runtime.Make (Noop)
 
 let clients = 4
-let flight_capacity = 2048 (* tcp_node's always-on flight recorder *)
+let flight_capacity = 2048 (* as [Tcp_node.flight_capacity] *)
 
 type cfg = Off | Flight | Full
 

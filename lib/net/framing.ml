@@ -2,7 +2,6 @@ module Wire = Grid_codec.Wire
 module Wire_intf = Grid_codec.Wire_intf
 module Wire_codec = Grid_paxos.Wire_codec
 
-exception Closed
 exception Too_large of int
 
 type read_error = Eof | Corrupt of { pos : int; msg : string }
@@ -13,107 +12,125 @@ let pp_read_error ppf = function
 
 let max_frame = 16 * 1024 * 1024
 
-let really_write fd s =
-  let len = String.length s in
-  let pos = ref 0 in
-  while !pos < len do
-    let n = Unix.write_substring fd s !pos (len - !pos) in
-    if n = 0 then raise Closed;
-    pos := !pos + n
-  done
-
-(* [None] on clean EOF at the first byte, [Closed] on EOF mid-read: the
-   first is a peer hanging up between frames, the second a truncated
-   frame. *)
-let really_read fd n =
-  let buf = Bytes.create n in
-  let pos = ref 0 in
-  (try
-     while !pos < n do
-       let k = Unix.read fd buf !pos (n - !pos) in
-       if k = 0 then raise Closed;
-       pos := !pos + k
-     done
-   with Closed when !pos = 0 -> ());
-  if !pos = 0 && n > 0 then None else Some (Bytes.unsafe_to_string buf)
-
-let really_read_exn fd n =
-  match really_read fd n with Some s -> s | None -> raise Closed
-
-let write_frame fd payload =
+let frame payload =
   let framed = Wire.with_crc payload in
   let len = String.length framed in
   if len > max_frame then raise (Too_large len);
   let hdr = Bytes.create 4 in
-  Bytes.set hdr 0 (Char.chr (len land 0xFF));
-  Bytes.set hdr 1 (Char.chr ((len lsr 8) land 0xFF));
-  Bytes.set hdr 2 (Char.chr ((len lsr 16) land 0xFF));
-  Bytes.set hdr 3 (Char.chr ((len lsr 24) land 0xFF));
-  really_write fd (Bytes.unsafe_to_string hdr ^ framed);
-  4 + len
+  Bytes.set_int32_le hdr 0 (Int32.of_int len);
+  Bytes.unsafe_to_string hdr ^ framed
 
-let read_frame fd =
-  match really_read fd 4 with
-  | None -> Error Eof
-  | Some hdr -> (
-    let len =
-      Char.code hdr.[0]
-      lor (Char.code hdr.[1] lsl 8)
-      lor (Char.code hdr.[2] lsl 16)
-      lor (Char.code hdr.[3] lsl 24)
+(* Hello frame: [uint node_id] then [uint max_version]; pre-versioning
+   builds sent only the node id. *)
+let hello ~node_id =
+  frame
+    (Wire.encode (fun e ->
+         Wire.Encoder.uint e node_id;
+         Wire.Encoder.uint e Wire_codec.version))
+
+let parse_hello payload =
+  match
+    let d = Wire.Decoder.of_string payload in
+    let node_id = Wire.Decoder.uint d in
+    let max_version = if Wire.Decoder.at_end d then 1 else Wire.Decoder.uint d in
+    Wire.Decoder.expect_end d;
+    (node_id, max_version)
+  with
+  | node_id, max_version when max_version >= Wire_codec.version -> Ok node_id
+  | _, max_version ->
+    Error
+      (Corrupt
+         { pos = 0;
+           msg = Printf.sprintf "peer speaks wire v%d at most, v%d needed" max_version
+               Wire_codec.version })
+  | exception Wire.Decode_error { pos; msg } -> Error (Corrupt { pos; msg })
+
+let decode_msg payload =
+  match Wire_codec.decode payload with
+  | Ok msg -> Ok (msg, 8 + String.length payload)
+  | Error e -> Error (Corrupt { pos = e.Wire_intf.pos; msg = Wire_intf.decode_error_to_string e })
+
+(* ------------------------------------------------------------------ *)
+
+type decoder = { mutable buf : Bytes.t; mutable start : int; mutable stop : int }
+(* The unread bytes are [buf.[start, stop)]. *)
+
+let chunk = 65536 (* the most one [Unix.read] moves *)
+
+let decoder () = { buf = Bytes.create chunk; start = 0; stop = 0 }
+let buffered d = d.stop - d.start
+
+(* Room for [n] more bytes: slide the unread bytes to the front, into a
+   buffer at least twice as large if they and [n] do not fit. They are at
+   most one partial frame (whole ones are taken as they arrive), so each
+   byte is slid once and regrown O(1) times amortized. *)
+let reserve d n =
+  if d.stop + n > Bytes.length d.buf then begin
+    let live = buffered d in
+    let buf =
+      if live + n <= Bytes.length d.buf then d.buf
+      else Bytes.create (max (live + n) (2 * Bytes.length d.buf))
     in
+    Bytes.blit d.buf d.start buf 0 live;
+    d.buf <- buf;
+    d.start <- 0;
+    d.stop <- live
+  end
+
+(* One [read] of at most [n] bytes; 0 at EOF. *)
+let input d fd n =
+  reserve d n;
+  let k = Unix.read fd d.buf d.stop n in
+  d.stop <- d.stop + k;
+  k
+
+let rec fill d fd =
+  match input d fd chunk with
+  | 0 -> false
+  | k -> k < chunk || fill d fd
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> true
+
+let at_eof d = if buffered d = 0 then Eof else Corrupt { pos = 0; msg = "eof inside frame" }
+
+let peek d n = Bytes.sub_string d.buf d.start (min n (buffered d))
+let frame_length d = Int32.to_int (Bytes.get_int32_le d.buf d.start) land 0xFFFF_FFFF
+
+let next d =
+  if buffered d < 4 then Ok None
+  else
+    let len = frame_length d in
     if len < 4 || len > max_frame then
       Error (Corrupt { pos = 0; msg = Printf.sprintf "bad frame length %d" len })
-    else
-      match really_read_exn fd len with
-      | body -> (
-        match Wire.check_crc body with
-        | payload -> Ok payload
-        | exception Wire.Decode_error { pos; msg } -> Error (Corrupt { pos; msg }))
-      | exception Closed ->
-        Error (Corrupt { pos = 0; msg = "eof inside frame body" }))
+    else if buffered d < 4 + len then Ok None
+    else begin
+      let body = Bytes.sub_string d.buf (d.start + 4) len in
+      d.start <- d.start + 4 + len;
+      match Wire.check_crc body with
+      | payload -> Ok (Some payload)
+      | exception Wire.Decode_error { pos; msg } -> Error (Corrupt { pos; msg })
+    end
 
-(* Hello frame: [uint node_id] then [uint max_version]. Pre-versioning
-   builds sent only the node id; an absent version field decodes as 1.
-   Builds that also spoke a second codec advertise 2 and settle on V1
-   with this one, so only a hello below V1 is refused. *)
-let write_hello fd ~node_id =
-  ignore
-    (write_frame fd
-       (Wire.encode (fun e ->
-            Wire.Encoder.uint e node_id;
-            Wire.Encoder.uint e Wire_codec.version)))
+(* ------------------------------------------------------------------ *)
+(* Blocking reads and writes. A blocking [Unix.write] returns only once
+   every byte is written. *)
 
-let read_hello fd =
-  match read_frame fd with
-  | Error e -> Error e
-  | Ok payload -> (
-    match
-      let d = Wire.Decoder.of_string payload in
-      let node_id = Wire.Decoder.uint d in
-      let max_version = if Wire.Decoder.at_end d then 1 else Wire.Decoder.uint d in
-      Wire.Decoder.expect_end d;
-      (node_id, max_version)
-    with
-    | node_id, max_version when max_version >= Wire_codec.version -> Ok node_id
-    | _, max_version ->
-      Error
-        (Corrupt
-           { pos = 0;
-             msg = Printf.sprintf "peer speaks wire v%d at most, v%d needed" max_version
-                 Wire_codec.version })
-    | exception Wire.Decode_error { pos; msg } -> Error (Corrupt { pos; msg }))
+let write_all fd s = Unix.write_substring fd s 0 (String.length s)
+let write_frame fd payload = write_all fd (frame payload)
 
-(* Both directions report the on-wire byte count (header + payload +
-   CRC) so the transport can feed its byte counters without
-   re-measuring. *)
+(* Read only what the frame at the front still lacks, so no byte of the
+   next frame leaves the socket. *)
+let read_frame fd =
+  let d = decoder () in
+  let rec go () =
+    match next d with
+    | Ok None ->
+      let missing = if buffered d < 4 then 4 - buffered d else 4 + frame_length d - buffered d in
+      if input d fd (min chunk missing) = 0 then Error (at_eof d) else go ()
+    | result -> Result.map Option.get result
+  in
+  go ()
+
+let write_hello fd ~node_id = ignore (write_all fd (hello ~node_id))
+let read_hello fd = Result.bind (read_frame fd) parse_hello
 let write_msg fd msg = write_frame fd (Wire_codec.encode msg)
-
-let read_msg fd =
-  match read_frame fd with
-  | Error e -> Error e
-  | Ok payload -> (
-    match Wire_codec.decode payload with
-    | Ok msg -> Ok (msg, 8 + String.length payload)
-    | Error e ->
-      Error (Corrupt { pos = e.Wire_intf.pos; msg = Wire_intf.decode_error_to_string e }))
+let read_msg fd = Result.bind (read_frame fd) decode_msg

@@ -20,6 +20,7 @@ type net_meters = {
       (* per message kind, both directions *)
   nm_decode_errors : Metrics.counter;
   nm_oversized : Metrics.counter;
+  nm_fd_limit : Metrics.counter;
   nm_dials : Metrics.counter;
   nm_dial_failures : Metrics.counter;
   nm_conns : Metrics.gauge;
@@ -32,65 +33,58 @@ let backoff_gauge_name p = Printf.sprintf "grid_net_backoff_ms_peer_%d" p
 
 let make_meters ~peers () =
   let registry = Metrics.create () in
-  let nm_backoff = Hashtbl.create 8 in
-  List.iter
-    (fun p ->
-      Hashtbl.replace nm_backoff p
-        (Metrics.gauge registry (backoff_gauge_name p)
-           ~help:"Current reconnect backoff delay toward this peer (0 = healthy)"))
-    peers;
-  let nm_bytes_by_kind = Hashtbl.create 16 in
-  List.iter
-    (fun kind ->
-      Hashtbl.replace nm_bytes_by_kind kind
-        (Metrics.counter registry
-           (Printf.sprintf "grid_net_bytes_total_%s" kind)
-           ~help:"On-wire bytes carrying this message kind, both directions"))
-    Grid_paxos.Types.all_msg_kinds;
+  let counter name help = Metrics.counter registry name ~help in
+  let table f keys =
+    let t = Hashtbl.create 16 in
+    List.iter (fun k -> Hashtbl.replace t k (f k)) keys;
+    t
+  in
   {
     registry;
-    nm_sent =
-      Metrics.counter registry "grid_net_messages_sent_total"
-        ~help:"Protocol messages written to peer sockets";
-    nm_received =
-      Metrics.counter registry "grid_net_messages_received_total"
-        ~help:"Protocol messages read off peer sockets";
+    nm_sent = counter "grid_net_messages_sent_total" "Protocol messages written to peer sockets";
+    nm_received = counter "grid_net_messages_received_total" "Protocol messages read off peer sockets";
     nm_bytes =
-      Metrics.counter registry "grid_net_bytes_total"
-        ~help:"On-wire bytes, both directions, frame overhead included";
-    nm_bytes_sent =
-      Metrics.counter registry "grid_net_bytes_sent_total"
-        ~help:"On-wire bytes written to peer sockets";
-    nm_bytes_received =
-      Metrics.counter registry "grid_net_bytes_received_total"
-        ~help:"On-wire bytes read off peer sockets";
-    nm_bytes_by_kind;
+      counter "grid_net_bytes_total" "On-wire bytes, both directions, frame overhead included";
+    nm_bytes_sent = counter "grid_net_bytes_sent_total" "On-wire bytes written to peer sockets";
+    nm_bytes_received = counter "grid_net_bytes_received_total" "On-wire bytes read off peer sockets";
+    nm_bytes_by_kind =
+      table
+        (fun kind ->
+          counter ("grid_net_bytes_total_" ^ kind)
+            "On-wire bytes carrying this message kind, both directions")
+        Grid_paxos.Types.all_msg_kinds;
     nm_decode_errors =
-      Metrics.counter registry "grid_net_decode_errors_total"
-        ~help:"Frames dropped as corrupt or undecodable (connection closed)";
+      counter "grid_net_decode_errors_total"
+        "Frames dropped as corrupt or undecodable (connection closed)";
     nm_oversized =
-      Metrics.counter registry "grid_net_oversized_dropped_total"
-        ~help:"Outgoing messages dropped for exceeding the frame size limit";
-    nm_dials =
-      Metrics.counter registry "grid_net_dials_total"
-        ~help:"Outbound connection attempts";
+      counter "grid_net_oversized_dropped_total"
+        "Outgoing messages dropped for exceeding the frame size limit";
+    nm_fd_limit =
+      counter "grid_net_fd_limit_closed_total"
+        "Accepted connections closed because select cannot watch their fd";
+    nm_dials = counter "grid_net_dials_total" "Outbound connection attempts";
     nm_dial_failures =
-      Metrics.counter registry "grid_net_dial_failures_total"
-        ~help:"Failed dials (peer enters reconnect backoff)";
+      counter "grid_net_dial_failures_total" "Failed dials (peer enters reconnect backoff)";
     nm_conns =
-      Metrics.gauge registry "grid_net_connections"
-        ~help:"Currently established peer connections";
-    nm_backoff;
+      Metrics.gauge registry "grid_net_connections" ~help:"Currently established peer connections";
+    nm_backoff =
+      table
+        (fun p ->
+          Metrics.gauge registry (backoff_gauge_name p)
+            ~help:"Current reconnect backoff delay toward this peer (0 = healthy)")
+        peers;
   }
 
 let set_backoff_gauge meters peer v =
   Option.iter (fun g -> Metrics.set g v) (Hashtbl.find_opt meters.nm_backoff peer)
 
-let count_bytes meters msg n =
+(* One message of [n] on-wire bytes, sent or received as [msgs] and
+   [bytes] tell. *)
+let count_msg meters ~msgs ~bytes msg n =
+  Metrics.inc msgs;
+  Metrics.inc ~by:n bytes;
   Metrics.inc ~by:n meters.nm_bytes;
-  match Hashtbl.find_opt meters.nm_bytes_by_kind (msg_kind msg) with
-  | Some c -> Metrics.inc ~by:n c
-  | None -> ()
+  Option.iter (Metrics.inc ~by:n) (Hashtbl.find_opt meters.nm_bytes_by_kind (msg_kind msg))
 
 (* Release the per-peer gauges when the node stops: their names embed
    peer ids, so a node restarted against a different peer set must not
@@ -99,19 +93,17 @@ let release_meters meters =
   Hashtbl.iter (fun p _ -> Metrics.unregister meters.registry (backoff_gauge_name p)) meters.nm_backoff;
   Hashtbl.reset meters.nm_backoff
 
-(* Reconnect backoff: a peer that refused a dial is not redialed before a
-   delay that doubles per consecutive failure, from [backoff_base_ms] up
-   to [backoff_cap_ms], with jitter so a restarted replica is not hit by
-   every peer in the same instant. Without this, a dead peer costs one
-   connect syscall per outgoing message (heartbeats: every few ms). The
-   constants are per-node state, settable at [start] time. *)
-let default_backoff_base_ms = 20.0
+(* Reconnect backoff: without it, a dead peer costs one connect syscall
+   per outgoing message (heartbeats: every few ms). *)
+let backoff_base_ms = 20.0
 let default_backoff_cap_ms = 2000.0
 
+(* The size of a replica's always-on flight recorder. *)
+let flight_capacity = 2048
+
 (* ------------------------------------------------------------------ *)
-(* Generic event loop: an inbox fed by reader threads, a timer queue, and
-   a self-pipe so the main loop can sleep in [select] yet wake on either
-   a message or a due timer. *)
+(* Generic event loop: one thread per node owns all socket I/O; other
+   threads reach it only through the thunk queue and the self-pipe. *)
 
 (* A client's synchronous call: the request it submitted, its deadline on
    the wall clock, and its result. The caller sleeps on the core's
@@ -125,51 +117,67 @@ type pending_call = {
   mutable state : call_state;
 }
 
+(* What a connection is known to be. An inbound one stays [Unsniffed]
+   while its bytes could still be an admin request; a connection whose
+   first frame must be a hello is [Hello (Some p)] when this node dialed
+   peer [p], [Hello None] when it was accepted. *)
+type role =
+  | Unsniffed
+  | Hello of int option
+  | Peer of int
+  | Closing  (* admin response queued; closed once it has flushed *)
+  | Closed
+
+type conn = {
+  fd : Unix.file_descr;
+  mutable role : role;
+  input : Framing.decoder;
+  output : string Queue.t;  (* whole frames or responses, oldest first *)
+  mutable written : int;  (* bytes of [output]'s head already on the wire *)
+}
+
 type core = {
   node_id : int;
-  mutex : Mutex.t;
-  inbox : (int * msg) Queue.t;
+  mutex : Mutex.t;  (* guards [thunks] and [call]; only the loop touches the rest *)
   thunks : (unit -> unit) Queue.t;  (* injected work, run on the loop thread *)
   mutable timers : (float * timer) list;  (* sorted by due time *)
-  mutable conns : (int * Unix.file_descr) list;
+  conns : (Unix.file_descr, conn) Hashtbl.t;  (* every open connection *)
+  peers : (int, conn) Hashtbl.t;  (* the connection sends to a node use: the newest *)
   mutable stop : bool;
   pipe_r : Unix.file_descr;
   pipe_w : Unix.file_descr;
   addresses : (int * Unix.sockaddr) list;
-  backoff_base_ms : float;
   backoff_cap_ms : float;
   (* peer -> (earliest next dial in ms, current backoff delay in ms) *)
   backoff : (int, float * float) Hashtbl.t;
-  rng : Rng.t;  (* jitter; guarded by [mutex] *)
+  rng : Rng.t;  (* jitter *)
   obs : Span.Recorder.t;  (* spans timed on the wall clock (ms) *)
   actor : string;
   meters : net_meters;
-  (* A client core's call in flight (at most one); guarded by [mutex]. *)
+  (* A client core's call in flight (at most one). *)
   mutable call : pending_call option;
-  call_done : Condition.t;
+  call_done : Condition.t;  (* also signals a finished [run_on_loop] *)
 }
 
 let create_core ?(obs = Span.Recorder.disabled)
-    ?(backoff_base_ms = default_backoff_base_ms)
     ?(backoff_cap_ms = default_backoff_cap_ms) ~node_id ~actor ~addresses () =
-  (* A write to a peer that died must surface as EPIPE, which [send_msg]
-     handles by dropping the connection; the default SIGPIPE action
-     would kill the whole process instead. *)
+  (* A write to a peer that died must surface as EPIPE, which drops that
+     connection; the default SIGPIPE action would kill the whole process
+     instead. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let pipe_r, pipe_w = Unix.pipe () in
   Unix.set_nonblock pipe_r;
   {
     node_id;
     mutex = Mutex.create ();
-    inbox = Queue.create ();
     thunks = Queue.create ();
     timers = [];
-    conns = [];
+    conns = Hashtbl.create 16;
+    peers = Hashtbl.create 16;
     stop = false;
     pipe_r;
     pipe_w;
     addresses;
-    backoff_base_ms;
     backoff_cap_ms;
     backoff = Hashtbl.create 8;
     rng = Rng.of_int (0x7cb1 + node_id);
@@ -195,42 +203,37 @@ let finish_call core pc result =
 let is_pending core pc =
   match core.call with Some p -> p == pc | None -> false
 
-let enqueue_msg core src msg =
-  Metrics.inc core.meters.nm_received;
-  with_lock core (fun () -> Queue.add (src, msg) core.inbox);
-  wake core
-
 let inject core thunk =
   with_lock core (fun () -> Queue.add thunk core.thunks);
   wake core
 
 (* Run [f] on the node's loop thread and wait for its result: engine
-   access is confined to that thread, so introspection (admin endpoint,
-   test accessors) synchronizes through the inbox. *)
+   access is confined to that thread, so test accessors synchronize
+   through the thunk queue. *)
 let run_on_loop core f =
   let result = ref None in
-  let m = Mutex.create () and c = Condition.create () in
   inject core (fun () ->
-      Mutex.lock m;
-      result := Some (f ());
-      Condition.signal c;
-      Mutex.unlock m);
-  Mutex.lock m;
-  while !result = None do
-    Condition.wait c m
-  done;
-  Mutex.unlock m;
+      let r = f () in
+      with_lock core (fun () ->
+          result := Some r;
+          Condition.broadcast core.call_done));
+  with_lock core (fun () ->
+      while Option.is_none !result do
+        Condition.wait core.call_done core.mutex
+      done);
   Option.get !result
 
-let register_conn core peer fd =
-  with_lock core (fun () ->
-      core.conns <- (peer, fd) :: List.remove_assoc peer core.conns;
-      Metrics.set core.meters.nm_conns (float_of_int (List.length core.conns)))
+(* [Unix.select] cannot watch an fd at or above FD_SETSIZE (1024): it
+   fails with EINVAL. Ask it before the loop takes a socket on. *)
+let selectable fd =
+  match Unix.select [ fd ] [] [] 0.0 with
+  | _ -> true
+  | exception Unix.Unix_error (EINVAL, _, _) -> false
 
-let drop_conn core peer =
-  with_lock core (fun () ->
-      core.conns <- List.remove_assoc peer core.conns;
-      Metrics.set core.meters.nm_conns (float_of_int (List.length core.conns)))
+let refresh_conns_gauge core =
+  Metrics.set core.meters.nm_conns
+    (float_of_int
+       (Hashtbl.fold (fun _ c n -> match c.role with Peer _ -> n + 1 | _ -> n) core.peers 0))
 
 let note_corrupt core ~peer err =
   Metrics.inc core.meters.nm_decode_errors;
@@ -238,90 +241,92 @@ let note_corrupt core ~peer err =
     Span.Recorder.note core.obs ~time:(now_ms ()) ~actor:core.actor
       (Format.asprintf "drop conn to %d: %a" peer Framing.pp_read_error err)
 
-(* Reader thread: handshake already done; pump messages into the inbox.
-   [Eof] is a peer going away (normal churn); [Corrupt] is an
-   unresynchronizable stream — count it, note it, and drop the
-   connection. Either way the socket is closed and the next send
-   redials. *)
-let reader_thread core peer fd =
-  let rec pump () =
-    if core.stop then ()
-    else
-      match Framing.read_msg fd with
-      | Ok (msg, bytes) ->
-        Metrics.inc ~by:bytes core.meters.nm_bytes_received;
-        count_bytes core.meters msg bytes;
-        enqueue_msg core peer msg;
-        pump ()
-      | Error Eof -> ()
-      | Error (Corrupt _ as err) -> note_corrupt core ~peer err
-      | exception Unix.Unix_error _ -> ()
-  in
-  pump ();
-  drop_conn core peer;
-  try Unix.close fd with _ -> ()
+let dial_failed core peer =
+  Metrics.inc core.meters.nm_dial_failures;
+  let prev = match Hashtbl.find_opt core.backoff peer with Some (_, d) -> d | None -> 0.0 in
+  let next = Float.min core.backoff_cap_ms (Float.max backoff_base_ms (prev *. 2.0)) in
+  (* Jitter in [next/2, next): consecutive retries stay spread out even
+     when every peer noticed the death together. *)
+  let wait = next *. (0.5 +. Rng.float core.rng 0.5) in
+  Hashtbl.replace core.backoff peer (now_ms () +. wait, next);
+  set_backoff_gauge core.meters peer next
 
-(* Get (or dial) the connection to [peer]; None if unreachable or still
-   backing off after a failed dial. Dialing performs the handshake
-   synchronously: send our hello, read the listener's hello back. *)
-exception Handshake_failed of string
+(* Close a connection; [err] is why its input ended. A dial that ends
+   before the peer's hello arrived failed; a corrupt stream from a
+   protocol peer is counted and noted. The next send to the peer redials. *)
+let close_conn ?(err = Framing.Eof) core c =
+  if c.role <> Closed then begin
+    (match (c.role, err) with
+    | Hello (Some p), _ -> dial_failed core p
+    | Hello None, Framing.Corrupt _ -> note_corrupt core ~peer:(-1) err
+    | Peer p, Framing.Corrupt _ -> note_corrupt core ~peer:p err
+    | _ -> ());
+    (match c.role with
+    | Hello (Some p) | Peer p -> (
+      match Hashtbl.find_opt core.peers p with
+      | Some newest when newest == c -> Hashtbl.remove core.peers p
+      | _ -> ())
+    | _ -> ());
+    c.role <- Closed;
+    Hashtbl.remove core.conns c.fd;
+    refresh_conns_gauge core;
+    try Unix.close c.fd with _ -> ()
+  end
 
+(* Write what the socket takes now; [select] says when it takes more. *)
+let flush core c =
+  try
+    while not (Queue.is_empty c.output) do
+      let s = Queue.peek c.output in
+      c.written <- c.written + Unix.write_substring c.fd s c.written (String.length s - c.written);
+      if c.written = String.length s then begin
+        ignore (Queue.pop c.output);
+        c.written <- 0
+      end
+    done;
+    if c.role = Closing then close_conn core c
+  with
+  | Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
+  | Unix.Unix_error _ -> close_conn core c
+
+let enqueue core c s =
+  Queue.add s c.output;
+  if Queue.length c.output = 1 then flush core c
+
+let add_conn core fd role =
+  Unix.set_nonblock fd;
+  Unix.setsockopt fd TCP_NODELAY true;
+  let c = { fd; role; input = Framing.decoder (); output = Queue.create (); written = 0 } in
+  Hashtbl.replace core.conns fd c;
+  c
+
+(* Dial without waiting: the connection is registered at once with its
+   hello queued first, so frames sent meanwhile queue behind it. *)
+let dial core peer addr =
+  Metrics.inc core.meters.nm_dials;
+  match Unix.socket PF_INET SOCK_STREAM 0 with
+  | exception Unix.Unix_error _ ->
+    dial_failed core peer;
+    None
+  | fd ->
+    let c = add_conn core fd (Hello (Some peer)) in
+    (match if selectable fd then Unix.connect fd addr else raise Exit with
+    | () | (exception Unix.Unix_error (EINPROGRESS, _, _)) ->
+      Hashtbl.replace core.peers peer c;
+      enqueue core c (Framing.hello ~node_id:core.node_id)
+    | exception (Exit | Unix.Unix_error _) -> close_conn core c);
+    if c.role = Closed then None else Some c
+
+(* The connection sends to [peer] use; None if unreachable or still
+   backing off after a failed dial. *)
 let connection core peer =
-  match with_lock core (fun () -> List.assoc_opt peer core.conns) with
-  | Some conn -> Some conn
-  | None -> (
-    match List.assoc_opt peer core.addresses with
-    | None -> None
-    | Some addr ->
-      let now = now_ms () in
-      let backing_off =
-        with_lock core (fun () ->
-            match Hashtbl.find_opt core.backoff peer with
-            | Some (not_before, _) -> now < not_before
-            | None -> false)
-      in
-      if backing_off then None
-      else (
-        Metrics.inc core.meters.nm_dials;
-        try
-          let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-          (try
-             Unix.setsockopt fd TCP_NODELAY true;
-             Unix.connect fd addr;
-             Framing.write_hello fd ~node_id:core.node_id;
-             match Framing.read_hello fd with
-             | Ok _peer_id -> ()
-             | Error e ->
-               raise (Handshake_failed (Format.asprintf "%a" Framing.pp_read_error e))
-           with e ->
-             (try Unix.close fd with _ -> ());
-             raise e);
-          with_lock core (fun () -> Hashtbl.remove core.backoff peer);
-          set_backoff_gauge core.meters peer 0.0;
-          register_conn core peer fd;
-          ignore (Thread.create (fun () -> reader_thread core peer fd) ());
-          Some fd
-        with
-        | Unix.Unix_error _ | Framing.Closed | Handshake_failed _ ->
-          Metrics.inc core.meters.nm_dial_failures;
-          with_lock core (fun () ->
-              let prev =
-                match Hashtbl.find_opt core.backoff peer with
-                | Some (_, d) -> d
-                | None -> 0.0
-              in
-              let next =
-                Float.min core.backoff_cap_ms
-                  (Float.max core.backoff_base_ms (prev *. 2.0))
-              in
-              (* Jitter in [next/2, next): consecutive retries stay spread
-                 out even when every peer noticed the death together. *)
-              let wait = next *. (0.5 +. Rng.float core.rng 0.5) in
-              Hashtbl.replace core.backoff peer (now +. wait, next));
-          (match with_lock core (fun () -> Hashtbl.find_opt core.backoff peer) with
-          | Some (_, d) -> set_backoff_gauge core.meters peer d
-          | None -> ());
-          None))
+  match (Hashtbl.find_opt core.peers peer, List.assoc_opt peer core.addresses) with
+  | (Some _ as c), _ -> c
+  | None, None -> None
+  | None, Some addr -> (
+    match Hashtbl.find_opt core.backoff peer with
+    | Some (not_before, _) when now_ms () < not_before -> None
+    | _ -> dial core peer addr)
 
 let send_msg core ~dst msg =
   if Span.Recorder.enabled core.obs then
@@ -329,25 +334,19 @@ let send_msg core ~dst msg =
       ~kind:(msg_kind msg) ~dst;
   match connection core dst with
   | None -> ()  (* unreachable peer: retransmission recovers *)
-  | Some fd -> (
-    try
-      let bytes = Framing.write_msg fd msg in
-      Metrics.inc core.meters.nm_sent;
-      Metrics.inc ~by:bytes core.meters.nm_bytes_sent;
-      count_bytes core.meters msg bytes
-    with
-    | Framing.Closed | Unix.Unix_error _ -> drop_conn core dst
-    | Framing.Too_large _ ->
-      (* Refused before any byte was written, so the stream is intact:
+  | Some c -> (
+    match Framing.frame (Grid_paxos.Wire_codec.encode msg) with
+    | frame ->
+      count_msg core.meters ~msgs:core.meters.nm_sent ~bytes:core.meters.nm_bytes_sent msg
+        (String.length frame);
+      enqueue core c frame
+    | exception Framing.Too_large _ ->
+      (* Refused before any byte was queued, so the stream is intact:
          drop only this message and keep the connection. *)
       Metrics.inc core.meters.nm_oversized)
 
 let arm_timer core ~due timer =
-  with_lock core (fun () ->
-      core.timers <-
-        List.merge
-          (fun (a, _) (b, _) -> Float.compare a b)
-          core.timers [ (due, timer) ])
+  core.timers <- List.merge (fun (a, _) (b, _) -> Float.compare a b) core.timers [ (due, timer) ]
 
 let run_actions core actions =
   List.iter
@@ -359,146 +358,163 @@ let run_actions core actions =
           Span.Recorder.note core.obs ~time:(now_ms ()) ~actor:core.actor s)
     actions
 
-(* The main loop: [handle] processes one input and returns actions. *)
-let event_loop core handle =
-  let drain_pipe () =
-    let buf = Bytes.create 64 in
-    try
-      while Unix.read core.pipe_r buf 0 64 > 0 do
-        ()
-      done
-    with Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
+(* ------------------------------------------------------------------ *)
+(* Admin endpoint: a minimal HTTP/1.0 responder on the replica's protocol
+   port. A hello frame opens with a little-endian length (tiny, so never
+   printable ASCII) and an HTTP request with a method name, so a buffered
+   prefix that could still start a method waits for more bytes. One
+   request line in, one Content-Length response out, connection closed. *)
+
+let http_methods = [ "GET "; "HEAD"; "POST" ]
+
+(* Answer once the request line is in (or 4 KiB arrived without one);
+   headers and body are irrelevant to the admin surface. *)
+let serve_http core routes c =
+  let head = Framing.peek c.input 4097 in
+  if String.contains head '\n' || String.length head > 4096 then begin
+    let path =
+      match String.split_on_char ' ' (List.hd (String.split_on_char '\n' head)) with
+      | _meth :: path :: _ -> String.trim path
+      | _ -> "/"
+    in
+    let status, content_type, body =
+      match routes path with
+      | Some (content_type, body) -> ("200 OK", content_type, body)
+      | None -> ("404 Not Found", "text/plain", "not found\n")
+    in
+    c.role <- Closing;
+    enqueue core c
+      (Printf.sprintf
+         "HTTP/1.0 %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
+         status content_type (String.length body) body)
+  end
+
+(* Act on what [c] has buffered, as far as its role allows. *)
+let rec step core handle routes c =
+  let frame k =
+    match Framing.next c.input with
+    | Ok (Some payload) -> k payload
+    | Ok None -> ()
+    | Error err -> close_conn ~err core c
   in
+  match c.role with
+  | Unsniffed ->
+    let head = Framing.peek c.input 4 in
+    let n = String.length head in
+    if not (List.exists (fun m -> String.sub m 0 n = head) http_methods) then begin
+      c.role <- Hello None;
+      step core handle routes c
+    end
+    else if n = 4 then serve_http core routes c
+  | Hello dialed ->
+    frame (fun payload ->
+        match Framing.parse_hello payload with
+        | Error err -> close_conn ~err core c
+        | Ok id ->
+          let p = Option.value dialed ~default:id in
+          c.role <- Peer p;
+          Hashtbl.replace core.peers p c;
+          refresh_conns_gauge core;
+          if dialed = None then enqueue core c (Framing.hello ~node_id:core.node_id)
+          else begin
+            Hashtbl.remove core.backoff p;
+            set_backoff_gauge core.meters p 0.0
+          end;
+          step core handle routes c)
+  | Peer src ->
+    frame (fun payload ->
+        match Framing.decode_msg payload with
+        | Error err -> close_conn ~err core c
+        | Ok (msg, n) ->
+          count_msg core.meters ~msgs:core.meters.nm_received
+            ~bytes:core.meters.nm_bytes_received msg n;
+          run_actions core (handle ~now:(now_ms ()) (Receive { src; msg }));
+          step core handle routes c)
+  | Closing | Closed -> ()
+
+let on_readable core handle routes c =
+  match Framing.fill c.input c.fd with
+  | open_ ->
+    step core handle routes c;
+    (* A client may half-close after its request: its response still
+       flushes. *)
+    if (not open_) && c.role <> Closing then close_conn ~err:(Framing.at_eof c.input) core c
+  | exception Unix.Unix_error _ -> close_conn core c
+
+let on_acceptable core listener =
+  match Unix.accept listener with
+  | exception Unix.Unix_error _ -> ()
+  | fd, _ when not (selectable fd) ->
+    Metrics.inc core.meters.nm_fd_limit;
+    Unix.close fd
+  | fd, _ -> ignore (add_conn core fd Unsniffed)
+
+(* The main loop: [handle] processes one input and returns actions;
+   [routes] answers admin requests on [listener]'s connections. *)
+let event_loop ?listener ?(routes = fun _ -> None) core handle =
+  let pipe_buf = Bytes.create 4096 in
   while not core.stop do
-    (* Pull work under the lock. *)
-    let inputs, thunks, timeout =
+    let thunks, call_due =
       with_lock core (fun () ->
-          let msgs = Queue.fold (fun acc x -> x :: acc) [] core.inbox in
-          Queue.clear core.inbox;
-          let thunks = Queue.fold (fun acc x -> x :: acc) [] core.thunks in
+          let thunks = List.of_seq (Queue.to_seq core.thunks) in
           Queue.clear core.thunks;
-          let now = now_ms () in
-          let due, later = List.partition (fun (d, _) -> d <= now) core.timers in
-          core.timers <- later;
           (* A call whose deadline has passed ends here; a live one bounds
              the sleep like a timer does. *)
           let call_due =
             match core.call with
-            | Some pc when pc.due_ms <= now ->
+            | Some pc when pc.due_ms <= now_ms () ->
               finish_call core pc None;
               infinity
             | Some pc -> pc.due_ms
             | None -> infinity
           in
-          let next_due =
-            match later with [] -> call_due | (d, _) :: _ -> Float.min d call_due
-          in
-          let timeout =
-            if next_due = infinity then 0.1 (* s *)
-            else Float.max 0.0 ((next_due -. now) /. 1000.0)
-          in
-          ( List.rev_map (fun (src, msg) -> Receive { src; msg }) msgs
-            @ List.map (fun (_, timer) -> Timer timer) due,
-            List.rev thunks,
-            timeout ))
+          (thunks, call_due))
     in
     List.iter (fun thunk -> thunk ()) thunks;
-    List.iter (fun input -> run_actions core (handle ~now:(now_ms ()) input)) inputs;
-    if inputs = [] && thunks = [] then begin
-      (match Unix.select [ core.pipe_r ] [] [] timeout with
-      | [ _ ], _, _ -> drain_pipe ()
-      | _ -> ()
-      | exception Unix.Unix_error (EINTR, _, _) -> ())
-    end
-  done
+    let now = now_ms () in
+    let due, later = List.partition (fun (d, _) -> d <= now) core.timers in
+    core.timers <- later;
+    List.iter (fun (_, timer) -> run_actions core (handle ~now:(now_ms ()) (Timer timer))) due;
+    (* Work done this turn may have armed a timer that is already due:
+       poll the sockets and come straight back. *)
+    let timeout =
+      let next_due = match core.timers with [] -> call_due | (d, _) :: _ -> Float.min d call_due in
+      if thunks <> [] || due <> [] then 0.0
+      else if next_due = infinity then 0.1 (* s *)
+      else Float.max 0.0 ((next_due -. now_ms ()) /. 1000.0)
+    in
+    let reads, writes =
+      Hashtbl.fold
+        (fun fd c (r, w) ->
+          ( (if c.role = Closing then r else fd :: r),
+            if Queue.is_empty c.output then w else fd :: w ))
+        core.conns
+        (core.pipe_r :: Option.to_list listener, [])
+    in
+    match Unix.select reads writes [] timeout with
+    | exception Unix.Unix_error (EINTR, _, _) -> ()
+    | readable, writable, _ ->
+      (* Look every ready fd up before acting on any: acting may close a
+         connection and a new one may reuse its number. *)
+      let ready fds = List.filter_map (Hashtbl.find_opt core.conns) fds in
+      let readable_conns = ready readable and writable_conns = ready writable in
+      List.iter (fun c -> if c.role <> Closed then flush core c) writable_conns;
+      List.iter (fun c -> if c.role <> Closed then on_readable core handle routes c) readable_conns;
+      Option.iter (fun l -> if List.mem l readable then on_acceptable core l) listener;
+      (* Wake-ups left unread keep the pipe readable for the next turn. *)
+      if List.mem core.pipe_r readable then
+        try ignore (Unix.read core.pipe_r pipe_buf 0 4096) with Unix.Unix_error _ -> ()
+  done;
+  Option.iter Unix.close listener;
+  Hashtbl.iter (fun _ c -> try Unix.close c.fd with _ -> ()) core.conns
 
-let shutdown core =
+(* End the loop and wait for it; a call in flight returns [None]. *)
+let shutdown core loop =
   core.stop <- true;
   wake core;
-  with_lock core (fun () ->
-      Option.iter (fun pc -> finish_call core pc None) core.call;
-      List.iter
-        (fun (_, fd) -> try Unix.shutdown fd SHUTDOWN_ALL with _ -> ())
-        core.conns)
-
-(* ------------------------------------------------------------------ *)
-(* Admin endpoint: a minimal HTTP/1.0 responder sharing the replica's
-   accept loop. A protocol connection opens with a hello frame whose
-   first bytes are a little-endian length (tiny, so never printable
-   ASCII); an HTTP request opens with a method name — peeking four bytes
-   disambiguates without consuming either. No HTTP library: one request
-   line in, one Content-Length response out, connection closed. *)
-
-let sniff_http fd =
-  let methods = [ "GET "; "HEAD"; "POST" ] in
-  let buf = Bytes.create 4 in
-  let rec peek attempts =
-    match Unix.recv fd buf 0 4 [ Unix.MSG_PEEK ] with
-    | 0 -> false
-    | n ->
-      (* Classify on whatever prefix has arrived: the moment the peeked
-         bytes diverge from every method we serve this is a protocol
-         peer (its hello starts with a tiny length byte, never a
-         printable method prefix) — don't stall it through the retry
-         budget, and never fall back to judging the first byte alone. A
-         true prefix is a dribbling HTTP client: retry, and if the wire
-         stays short past the budget, trust the prefix. *)
-      let s = Bytes.sub_string buf 0 n in
-      if not (List.exists (fun m -> String.sub m 0 n = s) methods) then false
-      else if n = 4 then true
-      else if attempts > 0 then begin
-        Thread.delay 0.002;
-        peek (attempts - 1)
-      end
-      else true
-  in
-  try peek 25 with Unix.Unix_error _ -> false
-
-(* Read up to the end of the request line; headers and body (if any) are
-   irrelevant to the admin surface and left unread. *)
-let read_request_line fd =
-  let buf = Buffer.create 64 in
-  let b = Bytes.create 1 in
-  let rec go () =
-    if Buffer.length buf > 4096 then Buffer.contents buf
-    else if Unix.read fd b 0 1 <> 1 then Buffer.contents buf
-    else
-      match Bytes.get b 0 with
-      | '\n' -> Buffer.contents buf
-      | '\r' -> go ()
-      | c ->
-        Buffer.add_char buf c;
-        go ()
-  in
-  go ()
-
-let http_response ~status ~content_type body =
-  Printf.sprintf
-    "HTTP/1.0 %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: \
-     close\r\n\r\n%s"
-    status content_type (String.length body) body
-
-(* One thread per admin request: parse the path, ask the node's [routes]
-   callback for a body, answer, close. *)
-let http_thread routes fd =
-  (try
-     let line = read_request_line fd in
-     let path =
-       match String.split_on_char ' ' line with
-       | _meth :: path :: _ -> path
-       | _ -> "/"
-     in
-     let response =
-       match routes path with
-       | Some (content_type, body) ->
-         http_response ~status:"200 OK" ~content_type body
-       | None ->
-         http_response ~status:"404 Not Found" ~content_type:"text/plain"
-           "not found\n"
-     in
-     ignore (Unix.write_substring fd response 0 (String.length response))
-   with Unix.Unix_error _ -> ());
-  try Unix.close fd with _ -> ()
+  with_lock core (fun () -> Option.iter (fun pc -> finish_call core pc None) core.call);
+  (try Thread.join loop with _ -> ());
+  release_meters core.meters
 
 (* ------------------------------------------------------------------ *)
 
@@ -511,39 +527,9 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     replica : R.t;
     r_watchdog : Grid_obs.Watchdog.t;
     r_loop : Thread.t;
-    r_accept : Thread.t;
-    listener : Unix.file_descr;
   }
 
-  (* Inbound handshake: read the dialer's hello and answer with ours. A
-     corrupt hello, or one below V1, closes the socket; the dialer sees
-     EOF and backs off. *)
-  let acceptor ?routes core listener =
-    try
-      while not core.stop do
-        let fd, _ = Unix.accept listener in
-        Unix.setsockopt fd TCP_NODELAY true;
-        match routes with
-        | Some routes when sniff_http fd ->
-          ignore (Thread.create (fun () -> http_thread routes fd) ())
-        | _ -> (
-          match Framing.read_hello fd with
-          | Ok peer -> (
-            match Framing.write_hello fd ~node_id:core.node_id with
-            | () ->
-              register_conn core peer fd;
-              ignore (Thread.create (fun () -> reader_thread core peer fd) ())
-            | exception (Framing.Closed | Unix.Unix_error _) -> (
-              try Unix.close fd with _ -> ()))
-          | Error Eof -> ( try Unix.close fd with _ -> ())
-          | Error (Corrupt _ as err) ->
-            note_corrupt core ~peer:(-1) err;
-            (try Unix.close fd with _ -> ()))
-      done
-    with Unix.Unix_error _ -> ()
-
-  let start_replica ~cfg ~id ~port ~peers ?storage ?obs ?(flight_capacity = 2048)
-      ?backoff_base_ms ?backoff_cap_ms () =
+  let start_replica ~cfg ~id ~port ~peers ?storage ?obs ?backoff_cap_ms () =
     let actor = "r" ^ string_of_int id in
     (* Flight recorder: unless the caller supplies a recorder, keep a
        bounded always-on one — the last [flight_capacity] events are a
@@ -555,8 +541,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
       | None -> Span.Recorder.create ~capacity:flight_capacity ~enabled:true ()
     in
     let core =
-      create_core ~obs ?backoff_base_ms ?backoff_cap_ms ~node_id:id ~actor
-        ~addresses:peers ()
+      create_core ~obs ?backoff_cap_ms ~node_id:id ~actor ~addresses:peers ()
     in
     (* Online invariant checks: counted in this node's registry and noted
        into the flight recorder, so /metrics and /flightrec both carry the
@@ -575,6 +560,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     Unix.setsockopt listener SO_REUSEADDR true;
     Unix.bind listener (ADDR_INET (Unix.inet_addr_loopback, port));
     Unix.listen listener 64;
+    Unix.set_nonblock listener;
     (* Engine access is confined to the loop thread; bootstrap through an
        injected thunk. *)
     inject core (fun () -> run_actions core (R.bootstrap replica));
@@ -611,8 +597,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
       acts
     in
     let health () =
-      run_on_loop core (fun () ->
-          let now = now_ms () in
+      let now = now_ms () in
           let b = R.ballot replica in
           let shed_reads, shed_writes = R.stats_shed replica in
           Printf.sprintf
@@ -626,23 +611,18 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
             shed_writes
             (Grid_obs.Watchdog.violations watchdog)
             (R.reshard_epoch replica) (R.reshard_phase replica)
-            (R.moved_ranges replica) (R.imported_items replica))
+            (R.moved_ranges replica) (R.imported_items replica)
     in
     let routes path =
       match path with
       | "/metrics" ->
         Some ("text/plain; version=0.0.4", Metrics.expose core.meters.registry)
       | "/health" -> Some ("application/json", health () ^ "\n")
-      | "/flightrec" ->
-        Some
-          ( "application/jsonl",
-            Span.dump_string
-              (run_on_loop core (fun () -> Span.Recorder.events obs)) )
+      | "/flightrec" -> Some ("application/jsonl", Span.dump_string (Span.Recorder.events obs))
       | _ -> None
     in
-    let r_loop = Thread.create (fun () -> event_loop core handle) () in
-    let r_accept = Thread.create (fun () -> acceptor ~routes core listener) () in
-    { r_core = core; replica; r_watchdog = watchdog; r_loop; r_accept; listener }
+    let r_loop = Thread.create (fun () -> event_loop ~listener ~routes core handle) () in
+    { r_core = core; replica; r_watchdog = watchdog; r_loop }
 
   (* Engine introspection must also run on the loop thread. *)
   let on_loop h f = run_on_loop h.r_core f
@@ -653,24 +633,17 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
   let replica_obs h = h.r_core.obs
   let replica_watchdog h = h.r_watchdog
 
-  let stop_replica h =
-    shutdown h.r_core;
-    (try Unix.shutdown h.listener SHUTDOWN_ALL with _ -> ());
-    (try Unix.close h.listener with _ -> ());
-    (try Thread.join h.r_loop with _ -> ());
-    (try Thread.join h.r_accept with _ -> ());
-    release_meters h.r_core.meters
+  let stop_replica h = shutdown h.r_core h.r_loop
 
   type client_handle = { c_core : core; client : Client.t; c_loop : Thread.t }
 
-  let start_client ~id ~replicas ?(retry_ms = 200.0) ?obs ?backoff_base_ms
-      ?backoff_cap_ms () =
+  let start_client ~id ~replicas ?(retry_ms = 200.0) ?obs ?backoff_cap_ms () =
     let cid = Grid_util.Ids.Client_id.of_int id in
     let client =
       Client.create ~id:cid ~replicas:(List.map fst replicas) ~retry_ms ?obs ()
     in
     let core =
-      create_core ?obs ?backoff_base_ms ?backoff_cap_ms ~node_id:(client_node cid) ~actor:("c" ^ string_of_int id)
+      create_core ?obs ?backoff_cap_ms ~node_id:(client_node cid) ~actor:("c" ^ string_of_int id)
         ~addresses:replicas ()
     in
     (* [Client.handle] yields a reply only for its outstanding request,
@@ -739,8 +712,5 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
 
   let client_metrics h = h.c_core.meters.registry
 
-  let stop_client h =
-    shutdown h.c_core;
-    (try Thread.join h.c_loop with _ -> ());
-    release_meters h.c_core.meters
+  let stop_client h = shutdown h.c_core h.c_loop
 end

@@ -1,34 +1,36 @@
 (** TCP runtime: hosts the same pure protocol engines that run on the
-    simulator over real sockets and threads.
+    simulator over real sockets.
 
-    Each node runs one event loop (a [select] on a self-pipe, the inbox
-    and the timer queue). Peer connections are dialed lazily and
-    deduplicated by the handshake's node id; replies to clients travel
-    back over the connection the client dialed in on.
+    Each node is one thread: its event loop [select]s on the listener,
+    every connection and a self-pipe, and owns all socket I/O. Sockets
+    are nonblocking, each with an input buffer and an output queue.
+    Other threads (a {!Make.call_op} caller, test accessors) reach the
+    loop through a thunk queue and the self-pipe. Peers are dialed
+    lazily; sends to a node use its newest connection, and replies to
+    clients travel back over the connection the client dialed in on.
 
-    A client's {!Make.call_op} blocks its caller on a condition variable.
-    The client's loop thread wakes it the moment the reply to the
-    submitted request arrives, so no thread sleeps on a fixed step. The
-    call's deadline is armed on the same loop: [select] never sleeps past
-    it, and when it passes the loop ends the call with [None].
+    [select] cannot watch an fd at or above FD_SETSIZE (1024): a
+    connection accepted onto one is closed and counted in
+    [grid_net_fd_limit_closed_total], and a dial that gets one fails.
+    Per replica, perfbench uses 2 peer connections plus the load
+    process's 2 sessions, and [bin/client.exe] uses 1.
 
-    Every connection opens with a hello each way (dialer first,
-    listener answering) carrying the node id and the highest wire
-    version the sender speaks. This build advertises 1 and speaks the
-    one codec {!Grid_paxos.Wire_codec} on every connection. A peer that
-    advertises more (an older build that also spoke a second codec)
-    settles on V1 too; a hello advertising less is refused like a
-    corrupt frame (DESIGN.md §15).
+    Every connection opens with a hello each way (dialer first, listener
+    answering) carrying the node id and the highest wire version the
+    sender speaks; this build advertises 1 and speaks the one codec
+    {!Grid_paxos.Wire_codec} (DESIGN.md §15). The dialer queues its
+    frames behind its hello, and the first frame it reads back must be
+    the listener's hello, so no read waits on a handshake.
 
     A failed dial puts the peer on exponential backoff (doubling from
-    [backoff_base_ms] to [backoff_cap_ms], default 20 ms to 2 s,
-    jittered per node), so a dead peer costs one connect attempt per
-    backoff window instead of one per outgoing message, and a restarting
-    replica is not reconnected by every peer in the same instant. A
-    successful dial resets the peer's backoff; losing an established
-    connection never delays the first redial. Each node's metrics
-    registry exposes the live per-peer delay as
-    [grid_net_backoff_ms_peer_<id>] gauges (0 = healthy).
+    20 ms to [backoff_cap_ms], default 2 s, jittered per node), so a dead
+    peer costs one connect attempt per backoff window instead of one per
+    outgoing message, and a restarting replica is not reconnected by
+    every peer in the same instant. A dial succeeds when the peer's hello
+    arrives, which resets its backoff; losing an established connection
+    never delays the first redial. Each node's metrics registry exposes
+    the live per-peer delay as [grid_net_backoff_ms_peer_<id>] gauges
+    (0 = healthy).
 
     Transport byte accounting: [grid_net_bytes_total] counts on-wire
     bytes in both directions (frame header and CRC included), split as
@@ -39,22 +41,23 @@
     bad frame); the next send redials.
 
     A message whose frame would exceed {!Framing.max_frame} is dropped
-    before any byte is written and counted in
+    before it is queued and counted in
     [grid_net_oversized_dropped_total]; the connection and the event
     loop carry on. Creating a node sets SIGPIPE to ignored, so a write
     to a peer that died fails with [EPIPE] and drops only that
     connection.
 
-    Each replica's listening port doubles as a plaintext admin endpoint:
-    the accept loop peeks the first bytes of a new connection and routes
-    HTTP methods ([GET]/[HEAD]/[POST]) to a minimal HTTP/1.0 responder
-    instead of the protocol handshake. [GET /metrics] serves the node's
+    Each replica's listening port doubles as a plaintext admin endpoint.
+    An accepted connection stays unsniffed while its buffered bytes could
+    still start [GET ], [HEAD] or [POST]; any other byte makes it a
+    protocol peer. The loop answers the request line itself, queues the
+    HTTP/1.0 response and closes the connection once it has flushed: no
+    thread per request, no extra port. [GET /metrics] serves the node's
     registry in Prometheus exposition format, [GET /health] a one-line
     JSON summary (role, ballot, commit point, lease, admission queue
     depths, watchdog violations, reshard state), and [GET /flightrec]
     the node's bounded always-on flight recorder as JSONL (readable back
-    with {!Grid_obs.Span.load_string}). No extra port, thread pool or
-    dependency: one short-lived thread per request.
+    with {!Grid_obs.Span.load_string}).
 
     This is the backend for [bin/replica.exe] and [bin/client.exe], and
     for the loopback integration tests. The evaluation itself uses the
@@ -73,8 +76,6 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
     peers:(int * Unix.sockaddr) list ->
     ?storage:Grid_paxos.Storage.t ->
     ?obs:Grid_obs.Span.Recorder.t ->
-    ?flight_capacity:int ->
-    ?backoff_base_ms:float ->
     ?backoff_cap_ms:float ->
     unit ->
     replica_handle
@@ -84,12 +85,11 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
       replica ids to their addresses. [obs] receives the engine's
       lifecycle spans and the transport's message events, timed on the
       wall clock (ms since the epoch); when omitted, the node keeps its
-      own always-on flight recorder over the last [flight_capacity]
-      events (default 2048). The replica also reports to an online
-      invariant watchdog ({!Grid_obs.Watchdog}) whose counters live in
-      {!replica_metrics} and which honours
-      [cfg.watchdog_fail_stop]. [backoff_base_ms]/[backoff_cap_ms] bound
-      the reconnect backoff toward dead peers (defaults 20/2000). *)
+      own always-on flight recorder over the last 2048 events. The
+      replica also reports to an online invariant watchdog
+      ({!Grid_obs.Watchdog}) whose counters live in {!replica_metrics}
+      and which honours [cfg.watchdog_fail_stop]. [backoff_cap_ms] caps
+      the reconnect backoff toward dead peers (default 2000). *)
 
   val replica_is_leader : replica_handle -> bool
   val replica_commit_point : replica_handle -> int
@@ -98,8 +98,8 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
   val replica_metrics : replica_handle -> Grid_obs.Metrics.t
   (** This node's registry: transport counters (messages and bytes
       sent/received, per-kind bytes, decode errors, dial attempts and
-      failures, established connections, per-peer backoff) and the watchdog violation counters. Served by
-      [GET /metrics]. *)
+      failures, established connections, per-peer backoff) and the
+      watchdog violation counters. Served by [GET /metrics]. *)
 
   val replica_obs : replica_handle -> Grid_obs.Span.Recorder.t
   (** The node's span recorder (the flight recorder unless [obs] was
@@ -109,7 +109,7 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
   (** The node's online invariant sink; zero on healthy runs. *)
 
   val stop_replica : replica_handle -> unit
-  (** Stop the loops, close the listener and connections, and release the
+  (** Stop the loop, close the listener and connections, and release the
       per-peer gauges from the node's registry. *)
 
   type client_handle
@@ -119,13 +119,12 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
     replicas:(int * Unix.sockaddr) list ->
     ?retry_ms:float ->
     ?obs:Grid_obs.Span.Recorder.t ->
-    ?backoff_base_ms:float ->
     ?backoff_cap_ms:float ->
     unit ->
     client_handle
   (** Connect to every replica. The client keeps no listening socket;
-      replies arrive on the dialed connections. [obs] and the backoff
-      bounds are as for {!start_replica}. *)
+      replies arrive on the dialed connections. [obs] and
+      [backoff_cap_ms] are as for {!start_replica}. *)
 
   val call_op :
     client_handle ->

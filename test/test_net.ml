@@ -186,11 +186,13 @@ let test_loopback_cluster () =
 (* Admin endpoint: the replica port answers plain HTTP alongside the
    protocol handshake. *)
 
-let http_get port path =
+(* A read that waits more than [timeout_s] ends the response there. *)
+let http_get ?(timeout_s = 5.0) port path =
   let fd = Unix.socket PF_INET SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with _ -> ())
     (fun () ->
+      Unix.setsockopt_float fd SO_RCVTIMEO timeout_s;
       Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port));
       let req = Printf.sprintf "GET %s HTTP/1.0\r\n\r\n" path in
       ignore (Unix.write_substring fd req 0 (String.length req));
@@ -516,8 +518,7 @@ let test_sigpipe_ignored () =
     (fun () ->
       match Framing.write_frame a "to a dead peer" with
       | _ -> Alcotest.fail "write to a closed peer succeeded"
-      | exception Unix.Unix_error (EPIPE, _, _) -> ()
-      | exception Framing.Closed -> ())
+      | exception Unix.Unix_error (EPIPE, _, _) -> ())
 
 (* An older build that also spoke V2 advertises 2 in its hellos; this
    build advertises 1, and the two settle on V1 whichever side dials
@@ -539,13 +540,12 @@ let test_old_peer_hellos () =
     fd
   in
   Fun.protect
-    ~finally:(fun () -> Tcp.stop_replica r)
+    ~finally:(fun () ->
+      Tcp.stop_replica r;
+      Unix.close peer)
     (fun () ->
       let dialed = Unix.select [ peer ] [] [] 10.0 <> ([], [], []) in
       let accepted = if dialed then Some (Unix.accept peer) else None in
-      (* Later dials must be refused, not left waiting for a hello: the
-         dial's handshake runs on the replica's loop thread. *)
-      Unix.close peer;
       let fd, _ =
         match accepted with Some a -> a | None -> Alcotest.fail "the replica never dialed its peer"
       in
@@ -587,6 +587,163 @@ let test_old_peer_hellos () =
       Alcotest.(check (option int)) "refusal counted" (Some 1)
         (metric_value (Grid_obs.Metrics.expose (Tcp.replica_metrics r))
            "grid_net_decode_errors_total"))
+
+(* A silent inbound connection must not wedge the port: with one open
+   and sending nothing, a protocol peer's hello and an admin request
+   that arrive after it are still answered. *)
+let test_silent_connection () =
+  let port = free_port () in
+  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+  let cfg = Config.make ~n:1 ~hb_period_ms:10.0 ~suspicion_ms:60.0 () in
+  let r = Tcp.start_replica ~cfg ~id:0 ~port ~peers:[] () in
+  let silent = Unix.socket PF_INET SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close silent;
+      Tcp.stop_replica r)
+    (fun () ->
+      Unix.connect silent addr;
+      (* The replica accepts the silent connection first. *)
+      Thread.delay 0.05;
+      let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.setsockopt_float fd SO_RCVTIMEO 2.0;
+          Unix.connect fd addr;
+          write_raw_hello fd ~node_id:(client_node (Grid_util.Ids.Client_id.of_int 9))
+            ~version:(Some 1);
+          match Framing.read_hello fd with
+          | Stdlib.Ok id -> Alcotest.(check int) "hello answered past a silent connection" 0 id
+          | Stdlib.Error e -> Alcotest.failf "hello refused: %a" Framing.pp_read_error e
+          | exception Unix.Unix_error (e, _, _) ->
+            Alcotest.failf "no hello back within 2 s: %s" (Unix.error_message e));
+      let status, _ = http_get ~timeout_s:2.0 port "/health" in
+      Alcotest.(check bool) "health answered past a silent connection" true
+        (contains status "200"))
+
+(* A peer that accepts the replica's dial and never sends its hello must
+   not wedge the replica: it keeps answering admin requests, and stopping
+   it does not wait for that hello. *)
+let test_half_open_dial () =
+  let port = free_port () in
+  let peer = Unix.socket PF_INET SOCK_STREAM 0 in
+  Unix.bind peer (ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen peer 4;
+  let cfg = Config.make ~n:2 ~hb_period_ms:10.0 ~suspicion_ms:60.0 ~stability_ms:20.0 () in
+  let r = Tcp.start_replica ~cfg ~id:0 ~port ~peers:[ (1, Unix.getsockname peer) ] () in
+  let accepted = ref None in
+  (* Closing the peer's sockets ends a handshake that blocks, so a stop
+     that waits for one still returns. *)
+  let release () =
+    Option.iter Unix.close !accepted;
+    accepted := None;
+    try Unix.close peer with Unix.Unix_error _ -> ()
+  in
+  let stopped = Atomic.make false in
+  Fun.protect
+    ~finally:(fun () ->
+      release ();
+      if not (Atomic.get stopped) then Tcp.stop_replica r)
+    (fun () ->
+      if Unix.select [ peer ] [] [] 10.0 = ([], [], []) then
+        Alcotest.fail "the replica never dialed its peer";
+      accepted := Some (fst (Unix.accept peer));
+      let status, body = http_get ~timeout_s:2.0 port "/health" in
+      Alcotest.(check bool) "health answered during a half-open dial" true
+        (contains status "200" && contains body {|"node":0|});
+      let stopper =
+        Thread.create
+          (fun () ->
+            Tcp.stop_replica r;
+            Atomic.set stopped true)
+          ()
+      in
+      let deadline = Unix.gettimeofday () +. 2.0 in
+      while (not (Atomic.get stopped)) && Unix.gettimeofday () < deadline do
+        Thread.delay 0.01
+      done;
+      let in_time = Atomic.get stopped in
+      release ();
+      Thread.join stopper;
+      Alcotest.(check bool) "stop_replica returns within 2 s" true in_time)
+
+(* One thread per node: protocol connections and admin requests add
+   none. *)
+let test_thread_count () =
+  if not (Sys.file_exists "/proc/self/task") then Alcotest.skip ();
+  let threads () = Array.length (Sys.readdir "/proc/self/task") in
+  let port = free_port () in
+  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+  let cfg = Config.make ~n:1 ~hb_period_ms:10.0 ~suspicion_ms:60.0 () in
+  let r = Tcp.start_replica ~cfg ~id:0 ~port ~peers:[] () in
+  let conns = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Unix.close !conns;
+      Tcp.stop_replica r)
+    (fun () ->
+      let before = threads () in
+      for i = 1 to 8 do
+        let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+        conns := fd :: !conns;
+        Unix.setsockopt_float fd SO_RCVTIMEO 5.0;
+        Unix.connect fd addr;
+        write_raw_hello fd ~node_id:(client_node (Grid_util.Ids.Client_id.of_int (20 + i)))
+          ~version:(Some 1);
+        Alcotest.(check (pair int int)) "hello answered" (0, 1) (read_raw_hello "hello" fd)
+      done;
+      for _ = 1 to 4 do
+        let status, _ = http_get port "/health" in
+        Alcotest.(check bool) "health 200" true (contains status "200")
+      done;
+      Alcotest.(check int) "threads after 8 connections and 4 admin requests" before
+        (threads ()))
+
+(* [select] cannot watch an fd at or above FD_SETSIZE: a connection
+   accepted onto one is closed and counted, and the loop serves on. *)
+let test_fd_limit () =
+  let port = free_port () in
+  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+  let cfg = Config.make ~n:1 ~hb_period_ms:10.0 ~suspicion_ms:60.0 () in
+  let r = Tcp.start_replica ~cfg ~id:0 ~port ~peers:[] () in
+  let null = Unix.openfile "/dev/null" [ O_RDONLY ] 0 in
+  let fillers = ref [] in
+  let release () =
+    List.iter Unix.close !fillers;
+    fillers := []
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      release ();
+      Unix.close null;
+      Tcp.stop_replica r)
+    (fun () ->
+      (* Take every free fd below the limit. *)
+      let rec fill () =
+        match Unix.dup null with
+        | exception Unix.Unix_error (EMFILE, _, _) -> false
+        | fd -> (
+          fillers := fd :: !fillers;
+          match Unix.select [ fd ] [] [] 0.0 with
+          | _ -> fill ()
+          | exception Unix.Unix_error (EINVAL, _, _) -> true)
+      in
+      if not (fill ()) then Alcotest.skip ();
+      let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.setsockopt_float fd SO_RCVTIMEO 5.0;
+          Unix.connect fd addr;
+          Alcotest.(check bool) "connection beyond FD_SETSIZE closed" true
+            (Framing.read_frame fd = Stdlib.Error Framing.Eof));
+      release ();
+      Alcotest.(check (option int)) "closed connection counted" (Some 1)
+        (metric_value (Grid_obs.Metrics.expose (Tcp.replica_metrics r))
+           "grid_net_fd_limit_closed_total");
+      let status, _ = http_get port "/health" in
+      Alcotest.(check bool) "health answered afterwards" true (contains status "200"))
 
 (* A message whose frame exceeds [Framing.max_frame] is dropped and
    counted; the sender's event loop and its connection survive. The
@@ -839,6 +996,11 @@ let suite =
           test_oversized_frame_dropped;
         Alcotest.test_case "v2 and versionless peers settle on v1" `Slow
           test_old_peer_hellos;
+        Alcotest.test_case "silent connection wedges no handshake" `Slow
+          test_silent_connection;
+        Alcotest.test_case "half-open dial wedges no loop" `Slow test_half_open_dial;
+        Alcotest.test_case "one thread per node" `Slow test_thread_count;
+        Alcotest.test_case "fd beyond FD_SETSIZE closed and counted" `Slow test_fd_limit;
       ] );
     ( "net.call",
       [
