@@ -140,51 +140,40 @@ module Decoder = struct
     if not (at_end t) then fail t.pos "trailing bytes after decoded value"
 end
 
-(* CRC-32, reflected IEEE 802.3 polynomial 0xEDB88320, table-driven. *)
+(* CRC-32, reflected IEEE 802.3 polynomial 0xEDB88320, table-driven. The
+   running value lives in an immediate [int] (32 bits fit in OCaml's 63),
+   so the byte loop allocates nothing. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           if Int32.logand !c 1l <> 0l then
-             c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-           else c := Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32 ?(crc = 0l) s =
-  let table = Lazy.force crc_table in
-  let c = ref (Int32.logxor crc 0xFFFFFFFFl) in
-  String.iter
-    (fun ch ->
-      let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl) in
-      c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
+  let c = ref ((Int32.to_int crc land 0xFFFFFFFF) lxor 0xFFFFFFFF) in
+  for i = 0 to String.length s - 1 do
+    c :=
+      Array.unsafe_get crc_table ((!c lxor Char.code (String.unsafe_get s i)) land 0xFF)
+      lxor (!c lsr 8)
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
 
 let with_crc s =
+  let n = String.length s in
   let crc = crc32 s in
-  let e = Encoder.create ~initial_size:(String.length s + 4) () in
-  Encoder.raw e s;
-  let b = Buffer.create 4 in
-  for i = 0 to 3 do
-    Buffer.add_char b
-      (Char.chr (Int32.to_int (Int32.shift_right_logical crc (8 * i)) land 0xFF))
-  done;
-  Encoder.raw e (Buffer.contents b);
-  Encoder.contents e
+  let b = Bytes.create (n + 4) in
+  Bytes.blit_string s 0 b 0 n;
+  Bytes.set_int32_le b n crc;
+  Bytes.unsafe_to_string b
 
 let check_crc s =
   let n = String.length s in
   if n < 4 then fail n "input too short to contain a CRC trailer";
   let body = String.sub s 0 (n - 4) in
-  let stored = ref 0l in
-  for i = 0 to 3 do
-    stored :=
-      Int32.logor !stored
-        (Int32.shift_left (Int32.of_int (Char.code s.[n - 4 + i])) (8 * i))
-  done;
-  if crc32 body <> !stored then fail (n - 4) "CRC mismatch";
+  if not (Int32.equal (crc32 body) (String.get_int32_le s (n - 4))) then
+    fail (n - 4) "CRC mismatch";
   body
 
 let encode f =

@@ -20,7 +20,9 @@
     sender speaks; this build advertises 1 and speaks the one codec
     {!Grid_paxos.Wire_codec} (DESIGN.md §15). The dialer queues its
     frames behind its hello, and the first frame it reads back must be
-    the listener's hello, so no read waits on a handshake.
+    the listener's hello, so no read waits on a handshake. A dial whose
+    hello has not come back within 1 s fails: the loop closes it, and
+    the frames queued behind the hello go with it.
 
     A failed dial puts the peer on exponential backoff (doubling from
     20 ms to [backoff_cap_ms], default 2 s, jittered per node), so a dead

@@ -57,6 +57,7 @@ module Make (S : Service_intf.S) = struct
     a_instant : reply list;  (* answered now: aborts, conflicts, redirects *)
     a_blocked : work list;  (* parked behind a lock *)
     a_witness : string option;  (* of the last write, for singleton batches *)
+    a_imported : bool;  (* an INSTALL imported a slice into [a_state] *)
     a_locks : Footprint.locks;
     a_decided : (int * bool) list;
         (* 2PC decisions taken earlier in this batch: the participant
@@ -270,7 +271,9 @@ module Make (S : Service_intf.S) = struct
                replicas through Catchup snapshots — no new transfer
                machinery. [import_range] is idempotent, so replay-path
                re-imports are harmless. *)
-            decide { acc with a_state = S.import_range acc.a_state slice.i_blob } r Ok
+            decide
+              { acc with a_state = S.import_range acc.a_state slice.i_blob; a_imported = true }
+              r Ok
           | exception _ -> instant env acc r Txn_aborted))
     | Reshard_commit e ->
       if e <= rs.epoch then instant env acc r Ok (* duplicate *)
@@ -305,8 +308,24 @@ module Make (S : Service_intf.S) = struct
         a_instant = [];
         a_blocked = [];
         a_witness = None;
+        a_imported = false;
         a_locks = Participant.Txn.locks env.txns @ Participant.Reshard.locks env.reshard;
         a_decided = [];
       }
       batch
+
+  (* The batch's write set: every [Written] footprint (writes, T-Paxos
+     rebases, 2PC COMMIT replays), or ["*"] once an INSTALL imported a
+     slice, whose keys no footprint names. *)
+  let write_set acc =
+    if acc.a_imported then [ "*" ]
+    else List.concat_map (function Fp.Written, Fp.Keys k -> k | _ -> []) acc.a_locks
+
+  (* The delta [S.diff] ships from [old_state] to the batch state,
+     compared over the write set only; ["*"] falls back to the full
+     compare. *)
+  let diff ~old_state acc =
+    let keys = write_set acc in
+    if Fp.touches_all keys then S.diff ~old_state acc.a_state
+    else S.diff_keys ~old_state keys acc.a_state
 end

@@ -19,6 +19,9 @@ type extent = Keys of t | Range of range
 
 val in_range : range -> string -> bool
 
+val touches_all : t -> bool
+(** Holds ["*"]. *)
+
 val intersects : extent -> extent -> bool
 (** Both sides must touch something: an empty footprint intersects
     nothing, ["*"] intersects every nonempty footprint and range. *)

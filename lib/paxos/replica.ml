@@ -361,10 +361,10 @@ module Make (S : Service_intf.S) = struct
   (* ------------------------------------------------------------------ *)
   (* State-update construction and application                           *)
 
-  let make_update t ~old_state ~new_state ~witness =
-    let full () = Full (S.encode_state new_state) in
+  let make_update t ~old_state (acc : B.acc) ~witness =
+    let full () = Full (S.encode_state acc.a_state) in
     let delta () =
-      match S.diff ~old_state new_state with Some d -> Delta d | None -> full ()
+      match B.diff ~old_state acc with Some d -> Delta d | None -> full ()
     in
     match t.cfg.coordination with
     | `Request_shipping ->
@@ -781,7 +781,7 @@ module Make (S : Service_intf.S) = struct
     else begin
       let requests = List.rev acc.a_requests in
       let update =
-        make_update t ~old_state:t.app_state ~new_state:acc.a_state
+        make_update t ~old_state:t.app_state acc
           ~witness:(match requests with [ _ ] -> acc.a_witness | _ -> None)
       in
       let proposal = { requests; update; replies = List.rev acc.a_replies } in

@@ -65,6 +65,15 @@ module type S = sig
   (** A compact encoding of [state] given [old_state]; [None] to fall
       back to full-state shipping. *)
 
+  val diff_keys : old_state:state -> string list -> state -> string option
+  (** [diff_keys ~old_state keys state] returns exactly the bytes of
+      [diff ~old_state state], given [keys] that cover the {!footprint}
+      of every write leading from [old_state] to [state]: a service
+      whose footprints name its state compares only those keys. [keys]
+      never holds ["*"]; the leader calls {!diff} then. A service whose
+      footprints do not name its state defines it as [fun ~old_state _ s
+      -> diff ~old_state s]. *)
+
   val patch : state -> string -> state
   (** Apply a diff produced by {!diff}. *)
 

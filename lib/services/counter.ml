@@ -45,6 +45,10 @@ let decode_result s = Wire.decode s Wire.Decoder.int
 let encode_state = encode_result
 let decode_state = decode_result
 let diff ~old_state:_ st = Some (encode_state st)
+
+(* The delta is the whole state, so the write set cannot narrow it. *)
+let diff_keys ~old_state _ st = diff ~old_state st
+
 let patch _ s = decode_state s
 
 (* Range handoff (elastic resharding) is not meaningful for this

@@ -325,6 +325,10 @@ let decode_state s =
       })
 
 let diff ~old_state:_ st = Some (encode_state st)
+
+(* The delta is the whole state, so the write set cannot narrow it. *)
+let diff_keys ~old_state _ st = diff ~old_state st
+
 let patch _ s = decode_state s
 
 (** Test/example helpers. *)

@@ -157,7 +157,19 @@ let decode_state s =
       in
       { version; entries = Smap.of_seq (List.to_seq bindings) })
 
-(* Delta: changed and removed keys relative to the previous state. *)
+(* Delta: changed and removed keys relative to the previous state, each
+   list in descending key order. *)
+let encode_delta st changed removed =
+  Some
+    (Wire.encode (fun e ->
+         Wire.Encoder.uint e st.version;
+         Wire.Encoder.list e
+           (fun (k, v) ->
+             Wire.Encoder.string e k;
+             Wire.Encoder.string e v)
+           changed;
+         Wire.Encoder.list e (Wire.Encoder.string e) removed))
+
 let diff ~old_state st =
   let changed =
     Smap.fold
@@ -172,15 +184,28 @@ let diff ~old_state st =
       (fun k _ acc -> if Smap.mem k st.entries then acc else k :: acc)
       old_state.entries []
   in
-  Some
-    (Wire.encode (fun e ->
-         Wire.Encoder.uint e st.version;
-         Wire.Encoder.list e
-           (fun (k, v) ->
-             Wire.Encoder.string e k;
-             Wire.Encoder.string e v)
-           changed;
-         Wire.Encoder.list e (Wire.Encoder.string e) removed))
+  encode_delta st changed removed
+
+(* The same delta from the written footprint keys alone: O(|keys| log n).
+   "kv/" ^ k sorts as k does, so an ascending fold that conses yields
+   the descending order [diff] ships. *)
+let diff_keys ~old_state keys st =
+  let changed, removed =
+    List.fold_left
+      (fun ((changed, removed) as acc) fk ->
+        match String.starts_with ~prefix:"kv/" fk with
+        | false -> acc
+        | true -> (
+          let k = String.sub fk 3 (String.length fk - 3) in
+          match (Smap.find_opt k st.entries, Smap.find_opt k old_state.entries) with
+          | Some v, Some old_v when String.equal old_v v -> acc
+          | Some v, _ -> ((k, v) :: changed, removed)
+          | None, Some _ -> (changed, k :: removed)
+          | None, None -> acc))
+      ([], [])
+      (List.sort_uniq String.compare keys)
+  in
+  encode_delta st changed removed
 
 let patch st s =
   Wire.decode s (fun d ->

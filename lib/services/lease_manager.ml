@@ -248,8 +248,21 @@ let decode_state s =
       in
       { grants; leases = Smap.of_seq (List.to_seq leases) })
 
+(* Delta: changed and removed leases only, each list in descending
+   resource order. *)
+let encode_delta st changed removed =
+  Some
+    (Wire.encode (fun e ->
+         Wire.Encoder.uint e st.grants;
+         Wire.Encoder.list e
+           (fun (k, l) ->
+             Wire.Encoder.string e k;
+             Wire.Encoder.uint e l.holder;
+             Wire.Encoder.float e l.until)
+           changed;
+         Wire.Encoder.list e (Wire.Encoder.string e) removed))
+
 let diff ~old_state st =
-  (* Changed/removed leases only. *)
   let changed =
     Smap.fold
       (fun k l acc ->
@@ -263,16 +276,27 @@ let diff ~old_state st =
       (fun k _ acc -> if Smap.mem k st.leases then acc else k :: acc)
       old_state.leases []
   in
-  Some
-    (Wire.encode (fun e ->
-         Wire.Encoder.uint e st.grants;
-         Wire.Encoder.list e
-           (fun (k, l) ->
-             Wire.Encoder.string e k;
-             Wire.Encoder.uint e l.holder;
-             Wire.Encoder.float e l.until)
-           changed;
-         Wire.Encoder.list e (Wire.Encoder.string e) removed))
+  encode_delta st changed removed
+
+(* The same delta from the written footprint keys alone; "lease/" ^ r
+   sorts as r does. *)
+let diff_keys ~old_state keys st =
+  let changed, removed =
+    List.fold_left
+      (fun ((changed, removed) as acc) fk ->
+        match String.starts_with ~prefix:"lease/" fk with
+        | false -> acc
+        | true -> (
+          let k = String.sub fk 6 (String.length fk - 6) in
+          match (Smap.find_opt k st.leases, Smap.find_opt k old_state.leases) with
+          | Some l, Some old_l when old_l = l -> acc
+          | Some l, _ -> ((k, l) :: changed, removed)
+          | None, Some _ -> (changed, k :: removed)
+          | None, None -> acc))
+      ([], [])
+      (List.sort_uniq String.compare keys)
+  in
+  encode_delta st changed removed
 
 let patch st s =
   Wire.decode s (fun d ->

@@ -82,6 +82,9 @@ let diff ~old_state st =
          Wire.Encoder.option e (Wire.Encoder.string e)
            (if String.equal old_state.padding st.padding then None else Some st.padding)))
 
+(* Footprints are empty: the keyed diff is the full one. *)
+let diff_keys ~old_state _ st = diff ~old_state st
+
 let patch st s =
   Wire.decode s (fun d ->
       let writes = Wire.Decoder.uint d in

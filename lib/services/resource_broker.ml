@@ -298,7 +298,18 @@ let decode_state s =
       { selections; resources = Imap.of_seq (List.to_seq bindings) })
 
 (* Delta: only the resources whose record changed (plus deletions are
-   impossible — the broker never removes resources). *)
+   impossible — the broker never removes resources), in descending id
+   order. *)
+let encode_delta st changed =
+  Some
+    (Wire.encode (fun e ->
+         Wire.Encoder.uint e st.selections;
+         Wire.Encoder.list e
+           (fun (rid, r) ->
+             Wire.Encoder.uint e rid;
+             encode_resource e r)
+           changed))
+
 let diff ~old_state st =
   let changed =
     Imap.fold
@@ -308,14 +319,27 @@ let diff ~old_state st =
         | _ -> (rid, r) :: acc)
       st.resources []
   in
-  Some
-    (Wire.encode (fun e ->
-         Wire.Encoder.uint e st.selections;
-         Wire.Encoder.list e
-           (fun (rid, r) ->
-             Wire.Encoder.uint e rid;
-             encode_resource e r)
-           changed))
+  encode_delta st changed
+
+(* The same delta from the written footprint keys alone. Ids order
+   numerically, not as their "res/%d" keys do. *)
+let diff_keys ~old_state keys st =
+  let rid fk =
+    if String.starts_with ~prefix:"res/" fk then
+      int_of_string_opt (String.sub fk 4 (String.length fk - 4))
+    else None
+  in
+  let changed =
+    List.fold_left
+      (fun acc rid ->
+        match (Imap.find_opt rid st.resources, Imap.find_opt rid old_state.resources) with
+        | Some r, Some old_r when old_r = r -> acc
+        | Some r, _ -> (rid, r) :: acc
+        | None, _ -> acc)
+      []
+      (List.sort_uniq Int.compare (List.filter_map rid keys))
+  in
+  encode_delta st changed
 
 let patch st s =
   Wire.decode s (fun d ->

@@ -668,6 +668,53 @@ let test_half_open_dial () =
       Thread.join stopper;
       Alcotest.(check bool) "stop_replica returns within 2 s" true in_time)
 
+(* A dial whose peer accepts and never sends its hello fails at the
+   hello deadline: the replica closes it, counts a dial failure and,
+   after its backoff, dials again. *)
+let test_silent_dial_times_out () =
+  let port = free_port () in
+  let peer = Unix.socket PF_INET SOCK_STREAM 0 in
+  Unix.bind peer (ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen peer 4;
+  let cfg = Config.make ~n:2 ~hb_period_ms:10.0 ~suspicion_ms:60.0 ~stability_ms:20.0 () in
+  let r = Tcp.start_replica ~cfg ~id:0 ~port ~peers:[ (1, Unix.getsockname peer) ] () in
+  let accepted = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      Tcp.stop_replica r;
+      List.iter Unix.close !accepted;
+      Unix.close peer)
+    (fun () ->
+      let accept_within what s =
+        if Unix.select [ peer ] [] [] s = ([], [], []) then Alcotest.fail what;
+        let fd = fst (Unix.accept peer) in
+        accepted := fd :: !accepted;
+        fd
+      in
+      let first = accept_within "the replica never dialed its peer" 10.0 in
+      (* Past the deadline the replica closes the dial; until then its
+         hello and the frames queued behind it arrive here. *)
+      Unix.setsockopt_float first SO_RCVTIMEO 0.5;
+      let buf = Bytes.create 4096 in
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      let rec drain () =
+        if Unix.gettimeofday () > deadline then
+          Alcotest.fail "silent dial still open after 5 s";
+        match Unix.read first buf 0 4096 with
+        | 0 -> ()
+        | _ | (exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _)) -> drain ()
+      in
+      drain ();
+      ignore (accept_within "no redial after the silent dial failed" 5.0);
+      match
+        metric_value (Grid_obs.Metrics.expose (Tcp.replica_metrics r))
+          "grid_net_dial_failures_total"
+      with
+      | Some n when n >= 1 -> ()
+      | v ->
+        Alcotest.failf "dial failures: %s"
+          (Option.fold ~none:"none" ~some:string_of_int v))
+
 (* One thread per node: protocol connections and admin requests add
    none. *)
 let test_thread_count () =
@@ -999,6 +1046,8 @@ let suite =
         Alcotest.test_case "silent connection wedges no handshake" `Slow
           test_silent_connection;
         Alcotest.test_case "half-open dial wedges no loop" `Slow test_half_open_dial;
+        Alcotest.test_case "silent dial times out and redials" `Slow
+          test_silent_dial_times_out;
         Alcotest.test_case "one thread per node" `Slow test_thread_count;
         Alcotest.test_case "fd beyond FD_SETSIZE closed and counted" `Slow test_fd_limit;
       ] );

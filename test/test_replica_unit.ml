@@ -721,6 +721,51 @@ let test_parked_write_requeued_on_release () =
   | [ r ] -> Alcotest.(check bool) "parked write ran once A was decided" true (r.status = Ok)
   | rs -> Alcotest.failf "parked write: %d replies" (List.length rs)
 
+(* An INSTALL imports keys no footprint names, so a batch holding one
+   ships the full-compare delta: batched with a write, the slice still
+   reaches the followers. *)
+let test_install_batch_ships_full_compare () =
+  let t = HK.create () in
+  HK.elect t 0;
+  let put key value = Kv.encode_op (Kv.Put { key; value }) in
+  let req client rtype payload = HK.client_request ~client ~seq:1 ~rtype ~payload () in
+  let donor =
+    (Kv.apply ~rng:(Grid_util.Rng.of_int 0) ~now:0.0 (Kv.initial ())
+       (Kv.Put { key = "g1"; value = "moved" }))
+      .state
+  in
+  let count, blob = Option.get (Kv.export_range donor ~lo:"kv/g" ~hi:(Some "kv/h")) in
+  (* A write holds the pipeline, so the install and a second write batch
+     behind it. *)
+  HK.submit t (req 1 Write (put "a" "1"));
+  HK.submit t
+    (req 2 (Reshard_install 1)
+       (Grid_paxos.Reshard_wire.encode_install ~lo:"kv/g" ~hi:(Some "kv/h") ~count ~blob));
+  HK.submit t (req 3 Write (put "b" "1"));
+  HK.deliver_all t;
+  let leader = t.replicas.(0) in
+  let clients_with_install =
+    List.find_map
+      (fun (_, reqs, _) ->
+        if List.exists (fun (r : request) -> r.rtype = Reshard_install 1) reqs then
+          Some (List.map (fun (r : request) -> Ids.Client_id.to_int r.id.client) reqs)
+        else None)
+      (HK.Replica.committed_updates leader)
+  in
+  Alcotest.(check (option (list int))) "install and write decided in one instance"
+    (Some [ 2; 3 ]) clients_with_install;
+  Array.iteri
+    (fun i r ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "replica %d holds the slice" i)
+        (Some "moved")
+        (Kv.find (HK.Replica.state r) "g1");
+      Alcotest.(check string)
+        (Printf.sprintf "replica %d state equals the leader's" i)
+        (Kv.encode_state (HK.Replica.state leader))
+        (Kv.encode_state (HK.Replica.state r)))
+    t.replicas
+
 let suite =
   [
     ( "replica.engine",
@@ -759,6 +804,8 @@ let suite =
           test_leadership_loss_returns_retry;
         Alcotest.test_case "parked write re-queued when its lock is released" `Quick
           test_parked_write_requeued_on_release;
+        Alcotest.test_case "install batch ships the full-compare delta" `Quick
+          test_install_batch_ships_full_compare;
       ] );
     ( "replica.lease",
       [

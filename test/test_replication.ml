@@ -304,6 +304,7 @@ module Diffless = struct
 
   let name = "noop-diffless"
   let diff ~old_state:_ _ = None
+  let diff_keys ~old_state:_ _ _ = None
 
   let apply ~rng ~now state op =
     { (Noop.apply ~rng ~now state op) with witness = None }

@@ -426,6 +426,197 @@ let prop_kv_replay_matches_apply =
         ops
       |> snd)
 
+(* ------------------------------------------------------------------ *)
+(* The keyed diff. Random batches of writes, T-Paxos commits and slice
+   installs run through the leader's batch executor; the delta it ships,
+   compared over the batch's write set, must be byte-equal to the full
+   compare. *)
+
+module Keyed_diff (S : Grid_paxos.Service_intf.S) = struct
+  module B = Grid_paxos.Batch.Make (S)
+  module Types = Grid_paxos.Types
+  module Ids = Grid_util.Ids
+
+  type item = Write of S.op | Txn of S.op list | Install of string
+
+  let client = 1
+
+  let request seq rtype payload : Types.request =
+    {
+      id = Ids.Request_id.make ~client:(Ids.Client_id.of_int client) ~seq;
+      rtype;
+      payload;
+      trace = Types.no_trace;
+    }
+
+  (* A leader-local branch of [ops] taken on [st], and the T-Paxos commit
+     that rebases it onto the running batch state. *)
+  let txn env st seq ops =
+    let tx =
+      {
+        B.tx_state = st;
+        tx_base = 0;
+        tx_ops = [];
+        tx_replies = [];
+        tx_footprint = Hashtbl.create 8;
+      }
+    in
+    List.iteri
+      (fun i op ->
+        let r = request ((seq * 100) + i) (Types.Txn_op seq) (S.encode_op op) in
+        let o = S.apply ~rng:env.B.rng ~now:env.B.now tx.tx_state op in
+        tx.tx_state <- o.state;
+        tx.tx_ops <- (r, op, o.witness) :: tx.tx_ops;
+        List.iter (fun k -> Hashtbl.replace tx.tx_footprint k ()) (S.footprint op))
+      ops;
+    Hashtbl.replace env.B.branches (client, seq) tx;
+    B.W_marker
+      (request seq (Types.Txn_commit seq)
+         (Grid_codec.Wire.encode (fun e -> Grid_codec.Wire.Encoder.uint e (List.length ops))))
+
+  let work env st seq = function
+    | Write op ->
+      B.W_write
+        { o_req = request seq Types.Write (S.encode_op op); o_op = op; o_fp = S.footprint op }
+    | Txn ops -> txn env st seq ops
+    | Install payload -> B.W_marker (request seq (Types.Reshard_install 1) payload)
+
+  let holds batches =
+    let seq = ref 0 in
+    List.fold_left
+      (fun (st, ok) items ->
+        let env =
+          {
+            B.rng = Rng.of_int !seq;
+            now = Float.of_int (10 * !seq);
+            commit_point = 0;
+            txns = Grid_paxos.Participant.Txn.create ();
+            reshard = Grid_paxos.Participant.Reshard.create ();
+            window = Grid_paxos.Footprint.Window.create ();
+            queued = Hashtbl.create 8;
+            branches = Hashtbl.create 8;
+          }
+        in
+        let acc =
+          B.run env ~state:st
+            (List.map
+               (fun item ->
+                 incr seq;
+                 work env st !seq item)
+               items)
+        in
+        (acc.a_state, ok && B.diff ~old_state:st acc = S.diff ~old_state:st acc.a_state))
+      (S.initial (), true) batches
+    |> snd
+
+  let prop ~name ?install gen_op =
+    let open QCheck2.Gen in
+    let item =
+      frequency
+        ([
+           (8, map (fun op -> Write op) gen_op);
+           (2, map (fun ops -> Txn ops) (list_size (int_range 1 3) gen_op));
+         ]
+        @ Option.fold ~none:[] ~some:(fun p -> [ (1, map (fun p -> Install p) p) ]) install)
+    in
+    QCheck2.Test.make ~name:(name ^ " keyed diff equals diff") ~count:150
+      (list_size (int_range 1 10) (list_size (int_range 1 6) item))
+      holds
+end
+
+let prop_keyed_kv =
+  let module K = Keyed_diff (Kv) in
+  let key = QCheck2.Gen.(map (fun i -> "k" ^ string_of_int i) (int_range 0 5)) in
+  let value = QCheck2.Gen.(string_size (int_range 0 4)) in
+  let gen_op =
+    QCheck2.Gen.(
+      oneof
+        [
+          map2 (fun key value -> Kv.Put { key; value }) key value;
+          map (fun k -> Kv.Del k) key;
+          (* Mostly misses: [expected] rarely matches. *)
+          map3 (fun key expected value -> Kv.Cas { key; expected; value }) key (option value) value;
+          map2 (fun key value -> Kv.Append { key; value }) key value;
+          map (fun k -> Kv.Get k) key;
+          return Kv.Size;
+        ])
+  in
+  (* A slice of keys, some of them also written by the batches. *)
+  let install =
+    QCheck2.Gen.(
+      map
+        (fun kvs ->
+          let donor =
+            List.fold_left
+              (fun st (key, value) ->
+                (Kv.apply ~rng:(Rng.of_int 0) ~now:0.0 st (Kv.Put { key; value })).state)
+              (Kv.initial ()) kvs
+          in
+          let count, blob = Option.get (Kv.export_range donor ~lo:"kv/" ~hi:None) in
+          Grid_paxos.Reshard_wire.encode_install ~lo:"kv/" ~hi:None ~count ~blob)
+        (list_size (int_range 0 4) (pair (map (fun i -> "k" ^ string_of_int i) (int_range 3 9)) value)))
+  in
+  K.prop ~name:"kv" ~install gen_op
+
+let prop_keyed_lease =
+  let module K = Keyed_diff (Grid_services.Lease_manager) in
+  let open Grid_services.Lease_manager in
+  let resource = QCheck2.Gen.(map (fun i -> "r" ^ string_of_int i) (int_range 0 3)) in
+  let holder = QCheck2.Gen.int_range 0 2 in
+  let ttl_ms = QCheck2.Gen.(map Float.of_int (int_range 5 40)) in
+  K.prop ~name:"lease"
+    QCheck2.Gen.(
+      oneof
+        [
+          map3 (fun resource holder ttl_ms -> Acquire { resource; holder; ttl_ms }) resource holder ttl_ms;
+          map3 (fun resource holder ttl_ms -> Renew { resource; holder; ttl_ms }) resource holder ttl_ms;
+          map2 (fun resource holder -> Release { resource; holder }) resource holder;
+          map (fun r -> Holder_of r) resource;
+        ])
+
+let prop_keyed_broker =
+  let module K = Keyed_diff (Broker) in
+  let rid = QCheck2.Gen.int_range 0 5 and site = QCheck2.Gen.int_range 0 2 in
+  K.prop ~name:"broker"
+    QCheck2.Gen.(
+      frequency
+        [
+          (3, map3 (fun rid site capacity -> Broker.Register { rid; site; capacity }) rid site (int_range 0 4));
+          (3, map2 (fun rid units -> Broker.Release { rid; units }) rid (int_range 0 3));
+          (* Footprint "*": the batch falls back to the full compare. *)
+          ( 1,
+            map3
+              (fun site units strategy -> Broker.Select { site; units; strategy })
+              site (int_range 1 3)
+              (oneofl [ Broker.Uniform; Broker.Power_of_two; Broker.Least_loaded ]) );
+          (1, map (fun rid -> Broker.Resource_info rid) rid);
+        ])
+
+let prop_keyed_noop =
+  let module K = Keyed_diff (Noop) in
+  K.prop ~name:"noop"
+    QCheck2.Gen.(
+      oneof
+        [ return Noop.Noop_write; return Noop.Noop_read; map (fun n -> Noop.Noop_sized_write n) (int_range 0 3) ])
+
+let prop_keyed_counter =
+  let module K = Keyed_diff (Counter) in
+  K.prop ~name:"counter"
+    QCheck2.Gen.(oneof [ return Counter.Get; map (fun n -> Counter.Add n) (int_range (-3) 3) ])
+
+let prop_keyed_sched =
+  let module K = Keyed_diff (Sched) in
+  let id = QCheck2.Gen.int_range 0 4 in
+  K.prop ~name:"scheduler"
+    QCheck2.Gen.(
+      oneof
+        [
+          map (fun m -> Sched.Add_machine m) id;
+          map2 (fun job priority -> Sched.Submit { job; priority }) id (int_range 0 2);
+          return Sched.Examine;
+          map2 (fun job machine -> Sched.Complete { job; machine }) id id;
+        ])
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -471,4 +662,14 @@ let suite =
       :: Alcotest.test_case "version bumps" `Quick test_kv_version_bumps
       :: qcheck [ prop_kv_diff_patch; prop_kv_codec_roundtrip; prop_kv_replay_matches_apply ]
     );
+    ( "services.keyed_diff",
+      qcheck
+        [
+          prop_keyed_kv;
+          prop_keyed_lease;
+          prop_keyed_broker;
+          prop_keyed_noop;
+          prop_keyed_counter;
+          prop_keyed_sched;
+        ] );
   ]

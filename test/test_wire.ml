@@ -308,6 +308,58 @@ let prop_garbage_total =
     Gen.(string_size (int_bound 64))
     total_decode
 
+(* ------------------------------------------------------------------ *)
+(* CRC-32: the check value, chaining, a bitwise reference, and no
+   allocation per byte. *)
+
+(* The polynomial applied one bit at a time, in [Int32], with no table. *)
+let crc32_bitwise s =
+  let c = ref 0xFFFFFFFFl in
+  String.iter
+    (fun ch ->
+      c := Int32.logxor !c (Int32.of_int (Char.code ch));
+      for _ = 0 to 7 do
+        let lsb = Int32.logand !c 1l in
+        c := Int32.shift_right_logical !c 1;
+        if lsb <> 0l then c := Int32.logxor !c 0xEDB88320l
+      done)
+    s;
+  Int32.logxor !c 0xFFFFFFFFl
+
+(* The standard check value pins both the table and the reference. *)
+let test_crc_check_value () =
+  Alcotest.(check int32) "crc32" 0xCBF43926l (Wire.crc32 "123456789");
+  Alcotest.(check int32) "bitwise reference" 0xCBF43926l (crc32_bitwise "123456789")
+
+let prop_crc_matches_bitwise =
+  Test.make ~name:"crc32 equals the bitwise reference" ~count:300
+    Gen.(string_size (int_bound 300))
+    (fun s -> Int32.equal (Wire.crc32 s) (crc32_bitwise s))
+
+let prop_crc_chained =
+  Test.make ~name:"chained ~crc over random splits equals one shot" ~count:300
+    Gen.(pair (string_size (int_bound 200)) (list_size (int_bound 6) (int_bound 200)))
+    (fun (s, cuts) ->
+      let n = String.length s in
+      let cuts = List.sort_uniq Int.compare (List.map (fun c -> c mod (n + 1)) cuts) in
+      let crc, last =
+        List.fold_left
+          (fun (crc, from) cut -> (Wire.crc32 ~crc (String.sub s from (cut - from)), cut))
+          (0l, 0) cuts
+      in
+      let crc = Wire.crc32 ~crc (String.sub s last (n - last)) in
+      Int32.equal crc (Wire.crc32 s))
+
+(* The byte loop allocates nothing: a 1 MiB checksum costs a constant
+   handful of words (the boxed result), not words per byte. *)
+let test_crc_allocation_free () =
+  let s = String.init (1 lsl 20) (fun i -> Char.chr ((i * 7) land 0xFF)) in
+  ignore (Sys.opaque_identity (Wire.crc32 s));
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Wire.crc32 s));
+  let words = Gc.minor_words () -. before in
+  if words > 64.0 then Alcotest.failf "crc32 of 1 MiB allocated %.0f minor words" words
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -320,6 +372,12 @@ let suite =
         Alcotest.test_case "decode errors name their codec" `Quick
           test_decode_error_metadata;
       ] );
+    ( "wire.crc",
+      [
+        Alcotest.test_case "check value" `Quick test_crc_check_value;
+        Alcotest.test_case "1 MiB allocates no words per byte" `Quick test_crc_allocation_free;
+      ]
+      @ qcheck [ prop_crc_matches_bitwise; prop_crc_chained ] );
     ( "wire.properties",
       qcheck
         [ prop_roundtrip; prop_truncation_total; prop_byteflip_total; prop_garbage_total ] );
