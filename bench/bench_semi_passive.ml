@@ -15,14 +15,15 @@ module Stats = Grid_util.Stats
 module T = Grid_util.Text_table
 module Noop = Grid_services.Noop
 module Client = Grid_paxos.Client
-module SP = Grid_paxos.Semi_passive.Make (Noop)
+module Sp = Grid_paxos.Semi_passive
+module SP = Sp.Make (Noop)
 open Grid_paxos.Types
 module RT = Experiment.RT
 
 (* Minimal simulator driver for the semi-passive engine plus one client. *)
 type sp_cluster = {
   eng : Engine.t;
-  net : msg Network.t;
+  net : Sp.msg Network.t;
   replicas : SP.t array;
   down : bool array;
 }
@@ -36,20 +37,19 @@ let sp_create ~seed ~(scenario : Scenario.t) ~cfg =
   let rec dispatch i actions =
     List.iter
       (function
-        | Send { dst; msg } -> Network.send net ~src:i ~dst msg
-        | After { delay; timer } ->
+        | Sp.Send { dst; msg } -> Network.send net ~src:i ~dst msg
+        | Sp.After { delay; timer } ->
           ignore
             (Engine.schedule eng ~delay (fun () ->
                  if not t.down.(i) then
-                   dispatch i (SP.handle replicas.(i) ~now:(Engine.now eng) (Timer timer))))
-        | Note _ -> ())
+                   dispatch i (SP.handle replicas.(i) ~now:(Engine.now eng) (Timer timer)))))
       actions
   in
   for i = 0 to cfg.n - 1 do
     Network.add_node net ~id:i ~recv_cost:scenario.replica_recv_cost
       ~send_cost:scenario.replica_send_cost (fun ~src msg ->
         if not t.down.(i) then
-          dispatch i (SP.handle replicas.(i) ~now:(Engine.now eng) (Receive { src; msg })))
+          dispatch i (SP.handle replicas.(i) ~now:(Engine.now eng) (Sp.Receive { src; msg })))
   done;
   for i = 0 to cfg.n - 1 do
     for j = 0 to cfg.n - 1 do
@@ -60,7 +60,8 @@ let sp_create ~seed ~(scenario : Scenario.t) ~cfg =
   t
 
 (* One closed-loop client against the semi-passive cluster; returns
-   per-request latencies (ms). *)
+   per-request latencies (ms). Its traffic travels wrapped in
+   [Sp.Client]. *)
 let sp_client_run t ~(scenario : Scenario.t) ~count ~on_progress =
   let cfg_n = Array.length t.replicas in
   let client =
@@ -74,7 +75,7 @@ let sp_client_run t ~(scenario : Scenario.t) ~count ~on_progress =
   let rec dispatch actions reply =
     List.iter
       (function
-        | Send { dst; msg } -> Network.send t.net ~src:node ~dst msg
+        | Send { dst; msg } -> Network.send t.net ~src:node ~dst (Sp.Client msg)
         | After { delay; timer } ->
           ignore
             (Engine.schedule t.eng ~delay (fun () ->
@@ -96,9 +97,11 @@ let sp_client_run t ~(scenario : Scenario.t) ~count ~on_progress =
     | `Busy -> ()
   in
   Network.add_node t.net ~id:node ~recv_cost:scenario.client_recv_cost
-    ~send_cost:scenario.client_send_cost (fun ~src msg ->
-      let actions, reply = Client.handle client ~now:(Engine.now t.eng) (Receive { src; msg }) in
-      dispatch actions reply);
+    ~send_cost:scenario.client_send_cost (fun ~src -> function
+      | Sp.Client msg ->
+        let actions, reply = Client.handle client ~now:(Engine.now t.eng) (Receive { src; msg }) in
+        dispatch actions reply
+      | _ -> ());
   for r = 0 to cfg_n - 1 do
     Network.set_link_sym t.net node r (scenario.client_link r)
   done;

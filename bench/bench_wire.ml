@@ -67,7 +67,7 @@ let read_flow : Types.msg list =
   [ cr; cr; cr; confirm; confirm; Types.Reply_msg reply ]
 
 (* Mixed message set for the CPU timing: the two request flows plus the
-   background traffic (heartbeats, recovery, semi-passive rounds). *)
+   background traffic (heartbeats, recovery). *)
 let timing_mix : Types.msg list =
   write_flow @ read_flow
   @ [
@@ -87,9 +87,6 @@ let timing_mix : Types.msg list =
           snapshot = None;
           accepted = [ { Types.instance = 42; ballot; proposal } ];
         };
-      Types.Sp_propose { instance = 43; round = 1; proposal };
-      Types.Sp_ack { instance = 43; round = 1 };
-      Types.Sp_decide { instance = 43; proposal };
     ]
 
 let frame_overhead = 8 (* 4-byte length header + 4-byte CRC trailer *)

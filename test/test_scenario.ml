@@ -155,15 +155,6 @@ let gen_msg =
           (pair (int_range 0 100) (int_range 0 500)) (pair gen_ballot (int_range 0 1000));
         map (fun i -> Catchup_req { from_instance = i }) (int_range 1 500);
         map (fun s -> Catchup { snapshot = s }) (string_size (int_range 0 12));
-        map
-          (fun (i, r, est) -> Sp_estimate { instance = i; round = r; estimate = est })
-          (triple (int_range 1 100) (int_range 0 20) (option (pair gen_proposal (int_range 0 20))));
-        map (fun ((i, r), p) -> Sp_propose { instance = i; round = r; proposal = p })
-          (pair (pair (int_range 1 100) (int_range 0 20)) gen_proposal);
-        map (fun (i, r) -> Sp_ack { instance = i; round = r })
-          (pair (int_range 1 100) (int_range 0 20));
-        map (fun (i, p) -> Sp_decide { instance = i; proposal = p })
-          (pair (int_range 1 100) gen_proposal);
       ])
 
 let prop_msg_roundtrip =
