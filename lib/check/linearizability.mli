@@ -7,6 +7,7 @@
     intended for test-suite histories (tens of operations, small
     concurrency). *)
 
+(** A sequential model. Results compare with structural equality. *)
 module type MODEL = sig
   type state
   type op
@@ -14,7 +15,6 @@ module type MODEL = sig
 
   val initial : state
   val step : state -> op -> state * result
-  val equal_result : result -> result -> bool
 end
 
 type ('op, 'res) event = {
@@ -40,7 +40,6 @@ module Counter_model : sig
 
   val initial : state
   val step : state -> op -> state * result
-  val equal_result : result -> result -> bool
 end
 
 module Counter : module type of Make (Counter_model)
@@ -55,7 +54,6 @@ module Kv_model : sig
 
   val initial : state
   val step : state -> op -> state * result
-  val equal_result : result -> result -> bool
 end
 
 module Kv : module type of Make (Kv_model)

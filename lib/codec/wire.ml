@@ -40,7 +40,6 @@ module Encoder = struct
 
   let float t f = int64 t (Int64.bits_of_float f)
   let bool t b = Buffer.add_char t (if b then '\001' else '\000')
-  let char t c = Buffer.add_char t c
 
   let string t s =
     uint t (String.length s);
@@ -111,7 +110,6 @@ module Decoder = struct
     | 1 -> true
     | b -> fail (t.pos - 1) (Printf.sprintf "invalid boolean byte %d" b)
 
-  let char t = Char.chr (byte t)
 
   let raw t n =
     if n < 0 then fail t.pos "negative length";

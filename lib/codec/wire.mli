@@ -27,7 +27,6 @@ module Encoder : sig
   (** IEEE-754 binary64, little-endian. *)
 
   val bool : t -> bool -> unit
-  val char : t -> char -> unit
   val string : t -> string -> unit
   (** Length-prefixed bytes. *)
 
@@ -60,7 +59,6 @@ module Decoder : sig
   val int64 : t -> int64
   val float : t -> float
   val bool : t -> bool
-  val char : t -> char
   val string : t -> string
   val option : t -> (t -> 'a) -> 'a option
   val list : t -> (t -> 'a) -> 'a list

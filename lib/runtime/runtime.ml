@@ -297,9 +297,6 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
       dispatch_client t (Client.node client) actions None;
       `Submitted
 
-  (* Alias kept for callers that predate the typed return. *)
-  let try_submit t client rtype ~payload = submit t client rtype ~payload
-
   (* Typed submission: classify and encode inside the runtime, so
      workloads and examples never build payload strings. The commit
      payload carries the op count on the wire (the replica's T-Paxos path

@@ -118,15 +118,6 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
       router passes its [Route] span here so the whole cross-shard
       request stitches into one tree. *)
 
-  val try_submit :
-    t ->
-    Grid_paxos.Client.t ->
-    Grid_paxos.Types.rtype ->
-    payload:string ->
-    [ `Busy | `Submitted ]
-  (** Alias of {!submit}, kept for callers that predate the typed
-      return. *)
-
   val submit_op : t -> Grid_paxos.Client.t -> S.op -> [ `Busy | `Submitted ]
   (** Typed entry point: classify via [S.classify], encode via
       [S.encode_op], and submit. Equivalent to [submit_item t c (Do op)]. *)

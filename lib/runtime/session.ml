@@ -93,7 +93,6 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
 
   let runtime t = t.rt
   let sessions t = t.registered
-  let in_flight t = t.inflight
   let peak_in_flight t = t.peak_inflight
   let submitted t = t.submitted
   let completed t = t.completed

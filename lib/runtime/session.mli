@@ -48,7 +48,6 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
   val sessions : t -> int
   (** Sessions registered so far. *)
 
-  val in_flight : t -> int
   val peak_in_flight : t -> int
   (** High-water mark of concurrently outstanding sessions. *)
 

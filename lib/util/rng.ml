@@ -81,10 +81,6 @@ let lognormal_mean_cv t ~mean ~cv =
     lognormal t ~mu ~sigma:(sqrt sigma2)
   end
 
-let pareto t ~scale ~shape =
-  let u = 1.0 -. float t 1.0 in
-  scale /. (u ** (1.0 /. shape))
-
 (* Zipf sampling by inverse CDF over precomputed cumulative weights. The
    table is memoized on (n, s) since workload generators draw many samples
    from one distribution. *)
