@@ -4,10 +4,10 @@
     with the 4-byte CRC32 trailer of {!Grid_codec.Wire.with_crc}. The
     maximum frame size guards against corrupt length headers.
 
-    One incremental {!decoder} holds the length, size and CRC checks; the
-    blocking reads are a loop over it. Reads return [Eof] for a peer that
-    hung up between frames and [Corrupt] for bad lengths, CRC mismatches,
-    truncated frames or payloads the codec rejects. *)
+    One incremental {!decoder} per connection holds the length, size and
+    CRC checks. Reads return [Eof] for a peer that hung up between frames
+    and [Corrupt] for bad lengths, CRC mismatches, truncated frames or
+    payloads the codec rejects. *)
 
 exception Too_large of int
 (** Raised, before anything reaches the socket, for a frame longer than
@@ -58,13 +58,3 @@ val next : decoder -> (string option, read_error) result
 
 val at_eof : decoder -> read_error
 (** What an EOF now means: [Eof] between frames, [Corrupt] inside one. *)
-
-(** {1 Blocking I/O} Writes return the bytes put on the wire; reads take
-    no byte past the frame. *)
-
-val write_frame : Unix.file_descr -> string -> int
-val read_frame : Unix.file_descr -> (string, read_error) result
-val write_hello : Unix.file_descr -> node_id:int -> unit
-val read_hello : Unix.file_descr -> (int, read_error) result
-val write_msg : Unix.file_descr -> Grid_paxos.Types.msg -> int
-val read_msg : Unix.file_descr -> (Grid_paxos.Types.msg * int, read_error) result
