@@ -312,15 +312,18 @@ let service_arg =
 let rate name doc default =
   Arg.(value & opt float default & info [ name ] ~docv:"P" ~doc)
 
-let crash_arg = rate "crash" "Per-step crash probability." 0.002
-let torn_arg = rate "torn" "Fraction of crashes that are torn persists." 0.3
-let dup_arg = rate "dup" "Per-delivery duplication probability." 0.03
-let reorder_arg = rate "reorder" "Per-delivery reordering probability." 0.03
+(* The fault-rate defaults are the library's standard stress mix. *)
+let default = Stress.default_nemesis
+let crash_arg = rate "crash" "Per-step crash probability." default.crash_prob
+let torn_arg = rate "torn" "Fraction of crashes that are torn persists." default.torn_frac
+let dup_arg = rate "dup" "Per-delivery duplication probability." default.dup_prob
+let reorder_arg = rate "reorder" "Per-delivery reordering probability." default.reorder_prob
 
 let meta_drop_arg =
-  rate "meta-drop" "Per-persist metadata (commit/snapshot) loss probability." 0.05
+  rate "meta-drop" "Per-persist metadata (commit/snapshot) loss probability."
+    default.meta_drop_prob
 
-let drift_arg = rate "drift" "Per-step clock-drift probability." 0.0
+let drift_arg = rate "drift" "Per-step clock-drift probability." default.drift_prob
 
 let drift_max_arg =
   rate "drift-max-ms" "Maximum clock-drift offset in milliseconds." 2.0

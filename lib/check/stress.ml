@@ -29,10 +29,6 @@ let default_nemesis =
     drift_max_ms = 0.0;
   }
 
-(* The lease tier adds clock drift on top of the default fault mix; the
-   stale-read oracle then checks the leased fast path end to end. *)
-let lease_nemesis = { default_nemesis with drift_prob = 0.005; drift_max_ms = 2.0 }
-
 (* The overload tier doubles the crash rate and keeps duplication and
    reordering: shed requests and their backoff retransmissions must
    survive leader churn without losing an acknowledged write. *)

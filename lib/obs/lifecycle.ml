@@ -220,19 +220,6 @@ let trace_id_of events req =
       | _ -> None)
     events
 
-let trace_ids events =
-  let seen = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun e ->
-      match span_tid e with
-      | Some tid when not (Hashtbl.mem seen tid) ->
-        Hashtbl.replace seen tid ();
-        order := tid :: !order
-      | _ -> ())
-    events;
-  List.rev !order
-
 let trace_tree events ~tid =
   let spans =
     List.filter (fun e -> span_tid e = Some tid) events

@@ -46,9 +46,7 @@ let histogram t name ~help ~lo ~hi ~bins =
   h
 
 let inc ?(by = 1) c = c.count <- c.count + by
-let counter_value c = c.count
 let set g v = g.value <- v
-let gauge_value g = g.value
 let observe h v = Stats.Histogram.add h v
 
 let sorted_entries t =

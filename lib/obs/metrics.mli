@@ -32,9 +32,7 @@ val histogram :
     {!Grid_util.Stats.Histogram.create_log}). *)
 
 val inc : ?by:int -> counter -> unit
-val counter_value : counter -> int
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 val observe : Grid_util.Stats.Histogram.h -> float -> unit
 
 val expose : t -> string

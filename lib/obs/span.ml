@@ -225,10 +225,6 @@ module Recorder = struct
       t.a_str.(s + 2) <- ""
     end
 
-  let notef t ~time ~actor fmt =
-    if t.enabled then Format.kasprintf (fun text -> note t ~time ~actor text) fmt
-    else Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-
   let event_at t i =
     let b = i * ints_per and s = i * strs_per in
     let tag = t.a_int.{b} in

@@ -333,9 +333,7 @@ let patch _ s = decode_state s
 
 (** Test/example helpers. *)
 
-let pending_jobs st = Imap.bindings st.pending |> List.map fst
 let assignments st = List.rev st.assignments
-let machine_load st m = Option.value ~default:0 (Imap.find_opt m st.machines)
 
 (* Range handoff (elastic resharding) is not meaningful for this
    service's keyspace; the reshard coordinator refuses to move it. *)

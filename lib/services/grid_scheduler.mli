@@ -41,8 +41,5 @@ include
 
 (** {1 Helpers} *)
 
-val pending_jobs : state -> int list
 val assignments : state -> (int * int) list
 (** Oldest first. *)
-
-val machine_load : state -> int -> int

@@ -315,8 +315,6 @@ let patch st s =
 
 (** Test helpers. *)
 
-let lease_of st resource = Smap.find_opt resource st.leases
-let lease_count st = Smap.cardinal st.leases
 
 (* Range handoff (elastic resharding) is not meaningful for this
    service's keyspace; the reshard coordinator refuses to move it. *)

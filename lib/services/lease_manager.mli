@@ -36,5 +36,3 @@ include
 
 (** {1 Helpers} *)
 
-val lease_of : state -> string -> lease option
-val lease_count : state -> int

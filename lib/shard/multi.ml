@@ -577,10 +577,6 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
 
   type rresult = R_committed | R_aborted of string
 
-  let pp_rresult ppf = function
-    | R_committed -> Format.pp_print_string ppf "committed"
-    | R_aborted r -> Format.fprintf ppf "aborted: %s" r
-
   let submit_reshard t cl ~shard rt ~payload =
     let trace =
       if Span.Recorder.enabled t.obs then

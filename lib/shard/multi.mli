@@ -189,8 +189,6 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
 
   type rresult = R_committed | R_aborted of string
 
-  val pp_rresult : Format.formatter -> rresult -> unit
-
   val split_shard :
     t ->
     client ->

@@ -14,11 +14,6 @@ let set t i =
   let byte = Char.code (Bytes.get t.words (i / 8)) in
   Bytes.set t.words (i / 8) (Char.chr (byte lor (1 lsl (i mod 8))))
 
-let clear_bit t i =
-  check t i;
-  let byte = Char.code (Bytes.get t.words (i / 8)) in
-  Bytes.set t.words (i / 8) (Char.chr (byte land lnot (1 lsl (i mod 8)) land 0xFF))
-
 let mem t i =
   check t i;
   Char.code (Bytes.get t.words (i / 8)) land (1 lsl (i mod 8)) <> 0

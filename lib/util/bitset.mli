@@ -10,7 +10,6 @@ val create : int -> t
 
 val capacity : t -> int
 val set : t -> int -> unit
-val clear_bit : t -> int -> unit
 val mem : t -> int -> bool
 val cardinal : t -> int
 val is_empty : t -> bool

@@ -51,8 +51,6 @@ module Make (Elt : ORDERED) = struct
     t.size <- t.size + 1;
     sift_up t (t.size - 1)
 
-  let min_elt t = if t.size = 0 then None else Some t.data.(0)
-
   let pop_min t =
     if t.size = 0 then None
     else begin
@@ -66,18 +64,4 @@ module Make (Elt : ORDERED) = struct
     end
 
   let clear t = t.size <- 0
-
-  let to_sorted_list t =
-    let copy = { data = Array.sub t.data 0 t.size; size = t.size } in
-    let rec drain acc =
-      match pop_min copy with None -> List.rev acc | Some x -> drain (x :: acc)
-    in
-    drain []
-
-  let check_invariant t =
-    let ok = ref true in
-    for i = 1 to t.size - 1 do
-      if Elt.compare t.data.((i - 1) / 2) t.data.(i) > 0 then ok := false
-    done;
-    !ok
 end

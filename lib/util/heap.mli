@@ -17,17 +17,8 @@ module Make (Elt : ORDERED) : sig
   val length : t -> int
   val is_empty : t -> bool
   val add : t -> Elt.t -> unit
-  val min_elt : t -> Elt.t option
-  (** Smallest element without removing it. *)
-
   val pop_min : t -> Elt.t option
   (** Remove and return the smallest element. *)
 
   val clear : t -> unit
-
-  val to_sorted_list : t -> Elt.t list
-  (** Non-destructive; O(n log n). *)
-
-  val check_invariant : t -> bool
-  (** True iff every parent is [<=] its children (for tests). *)
 end

@@ -75,8 +75,8 @@ let column ~confidence (_, c90, c95, c99) =
   | 0.99 -> c99
   | _ -> invalid_arg "Stats: confidence must be 0.90, 0.95 or 0.99"
 
+(* Two-sided Student-t critical value for [df >= 1]. *)
 let t_quantile ~confidence ~df =
-  if df < 1 then invalid_arg "Stats.t_quantile: df must be >= 1";
   if df > 120 then normal_quantile ~confidence
   else begin
     (* Find bracketing rows and interpolate linearly in 1/df, which is

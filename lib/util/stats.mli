@@ -28,15 +28,13 @@ val merge : t -> t -> t
 
 (** {1 Confidence intervals} *)
 
-val t_quantile : confidence:float -> df:int -> float
-(** Two-sided Student-t critical value, e.g.
-    [t_quantile ~confidence:0.99 ~df:19]. Interpolated from a fixed table;
-    falls back to the normal quantile for large [df]. Supported confidence
-    levels: 0.90, 0.95, 0.99. *)
-
 val confidence_interval : ?confidence:float -> t -> float
 (** Half-width of the confidence interval of the mean (default 99%),
-    i.e. the paper's "±" value. [0.] with fewer than two observations. *)
+    i.e. the paper's "±" value: the two-sided Student-t critical value
+    times the standard error. The t value is interpolated from a fixed
+    table and falls back to the normal quantile for large samples.
+    Supported confidence levels: 0.90, 0.95, 0.99. [0.] with fewer than
+    two observations. *)
 
 (** {1 Batch helpers} *)
 

@@ -211,10 +211,13 @@ let test_mcheck_wire_clean_under_nemesis () =
      and the run must stay safe, live and linearizable on the decoded
      copies. *)
   let nemesis =
-    { Grid_check.Mcheck.no_faults with
-      crash_prob = 0.002;
+    { Grid_check.Mcheck.crash_prob = 0.002;
+      torn_frac = 0.0;
       dup_prob = 0.01;
       reorder_prob = 0.01;
+      meta_drop_prob = 0.0;
+      drift_prob = 0.0;
+      drift_max_ms = 0.0;
     }
   in
   for seed = 1 to 10 do

@@ -169,10 +169,14 @@ let test_replicated_leases_consistent () =
   let l = Option.get (RT.leader t) in
   Alcotest.(check bool) "new leader" true (l <> 0);
   let st = RT.R.state (RT.replica t l) in
-  (match Lease.lease_of st "gpu" with
-  | Some { holder = 1; _ } -> ()
+  (* Read the table through the service's own read ops. *)
+  let read op = (Lease.apply ~rng:(Grid_util.Rng.of_int 1) ~now:(RT.now t) st op).result in
+  (match read (Lease.Holder_of "gpu") with
+  | Lease.Holder (Some (1, _)) -> ()
   | _ -> Alcotest.fail "gpu lease lost across leader switch");
-  Alcotest.(check int) "two leases" 2 (Lease.lease_count st)
+  (match read Lease.Active_count with
+  | Lease.Count 2 -> ()
+  | _ -> Alcotest.fail "expected two live leases")
 
 let suite =
   [

@@ -30,6 +30,8 @@ let ok_reply c =
   let r = Option.get (Client.outstanding c) in
   Receive { src = 0; msg = Reply_msg { req = r.id; status = Ok; payload = "" } }
 
+let sends = List.filter (function Send _ -> true | _ -> false)
+
 let fresh_client ?(retry_ms = 100.0) seed =
   let c =
     Client.create ~id:(Ids.Client_id.of_int 1) ~replicas:[ 0; 1; 2 ] ~retry_ms ~seed ()
@@ -40,8 +42,9 @@ let fresh_client ?(retry_ms = 100.0) seed =
   c
 
 (* Each consecutive pushback doubles the leader's hint, jittered +-25%:
-   the armed timer delay and [backoff_until] must sit inside the jitter
-   band of [hint * 2^(attempt-1)], capped at max(hint, 8 * retry_ms). *)
+   the armed timer delay must sit inside the jitter band of
+   [hint * 2^(attempt-1)], capped at max(hint, 8 * retry_ms), and the
+   backstop retry stays silent until it has passed. *)
 let test_backoff_bounds_and_doubling () =
   List.iter
     (fun seed ->
@@ -63,10 +66,10 @@ let test_backoff_bounds_and_doubling () =
              attempt delay (0.75 *. base) (1.25 *. base))
           true
           (delay >= (0.75 *. base) -. 1e-9 && delay <= (1.25 *. base) +. 1e-9);
-        Alcotest.(check (float 1e-6)) "backoff_until = now + delay" (now +. delay)
-          (Client.backoff_until c)
-      done;
-      Alcotest.(check int) "all pushbacks counted" 8 (Client.overloaded_count c))
+        let seq = (Option.get (Client.outstanding c)).id.seq in
+        Alcotest.(check bool) "silent until now + delay" true
+          (Client.handle c ~now:(now +. delay -. 1e-3) (Timer (Client_retry seq)) = ([], None))
+      done)
     [ 1; 2; 3; 17; 42 ]
 
 (* The hint always wins over the static cap: a leader asking for more
@@ -87,25 +90,25 @@ let test_backoff_honors_large_hint () =
 let test_backoff_suppresses_backstop () =
   let c = fresh_client 9 in
   let seq = (Option.get (Client.outstanding c)).id.seq in
-  ignore (Client.handle c ~now:0.0 (overloaded_reply c ~retry_after_ms:40.0));
-  let until = Client.backoff_until c in
+  let until =
+    match Client.handle c ~now:0.0 (overloaded_reply c ~retry_after_ms:40.0) with
+    | [ After { delay; _ } ], _ -> delay
+    | _ -> Alcotest.fail "expected exactly one retry timer"
+  in
   Alcotest.(check bool) "window is armed" true (until > 0.0);
   let inside, reply = Client.handle c ~now:(until /. 2.0) (Timer (Client_retry seq)) in
   Alcotest.(check bool) "no traffic inside the window" true (inside = [] && reply = None);
-  Alcotest.(check int) "suppressed firing is not a retry" 0 (Client.retry_count c);
   let after_win, _ = Client.handle c ~now:until (Timer (Client_retry seq)) in
-  let sends = List.filter (function Send _ -> true | _ -> false) after_win in
-  Alcotest.(check int) "rebroadcast to all replicas" 3 (List.length sends);
-  Alcotest.(check int) "counted as a retry" 1 (Client.retry_count c)
+  Alcotest.(check int) "rebroadcast to all replicas" 3 (List.length (sends after_win))
 
 (* A final reply resets the backoff machinery for the next request. *)
 let test_backoff_resets_on_completion () =
   let c = fresh_client 11 in
-  ignore (Client.handle c ~now:0.0 (overloaded_reply c ~retry_after_ms:40.0));
+  (* A long hint: the window would still be open at 100 ms. *)
+  ignore (Client.handle c ~now:0.0 (overloaded_reply c ~retry_after_ms:1_000.0));
   let _, reply = Client.handle c ~now:50.0 (ok_reply c) in
   Alcotest.(check bool) "Ok completes the request" true (reply <> None);
   Alcotest.(check bool) "no pending request" true (Client.outstanding c = None);
-  Alcotest.(check bool) "backoff cleared" true (Client.backoff_until c = neg_infinity);
   match Client.submit c Write ~payload:"y" with
   | `Sent actions ->
     (* The fresh request's retry timer is the plain jittered retry_ms,
@@ -119,7 +122,11 @@ let test_backoff_resets_on_completion () =
         (Printf.sprintf "next request uses plain retry delay (%.1f)" d)
         true
         (d >= 75.0 && d <= 125.0)
-    | None -> Alcotest.fail "no retry timer on fresh submit")
+    | None -> Alcotest.fail "no retry timer on fresh submit");
+    (* The old window is cleared: the new request's retry fires. *)
+    let seq = (Option.get (Client.outstanding c)).id.seq in
+    let retry, _ = Client.handle c ~now:100.0 (Timer (Client_retry seq)) in
+    Alcotest.(check int) "backoff cleared" 3 (List.length (sends retry))
   | `Busy -> Alcotest.fail "client busy after completion"
 
 (* ------------------------------------------------------------------ *)

@@ -656,8 +656,6 @@ let test_restart_lease_blackout () =
   let t = with_lease () in
   H.advance t 10.0;
   ignore (Replica.restart t.replicas.(1) ~now:t.now : action list);
-  Alcotest.(check (option int)) "blackout grant holder" (Some (-1))
-    (Replica.lease_granted_to t.replicas.(1) ~now:t.now);
   let prep = Prepare { ballot = Ballot.make ~round:3 ~holder:0; commit_point = 0 } in
   H.feed t 1 (Receive { src = 0; msg = prep });
   Alcotest.(check bool) "prepare refused during blackout" true

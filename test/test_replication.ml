@@ -213,7 +213,9 @@ let test_scheduler_replicated_consistent () =
   (* Every submitted job got scheduled, and replicas agree on the
      assignment map — the property NILE needed. *)
   Alcotest.(check int) "all jobs assigned" 10 (List.length (Sched.assignments (st 0)));
-  Alcotest.(check (list int)) "no pending jobs" [] (Sched.pending_jobs (st 0))
+  Alcotest.(check bool) "no pending jobs" true
+    ((Sched.apply ~rng:(Grid_util.Rng.of_int 1) ~now:0.0 (st 0) Sched.Queue_length).result
+    = Sched.Length 0)
 
 (* ------------------------------------------------------------------ *)
 (* Latency ordering (the headline §4.1 relationship). *)
@@ -366,11 +368,10 @@ let test_ship_fallback_accounted_as_full () =
           | Full s ->
             Alcotest.(check bool) "full payload decodes to a real state" true
               ((Diffless.decode_state s).Noop.writes >= 1);
-            Alcotest.(check int) "state_update_size counts the full bytes"
-              (String.length s)
-              (state_update_size e.proposal.update);
-            Alcotest.(check bool) "proposal_size includes the full bytes" true
-              (proposal_size e.proposal >= String.length s)
+            Alcotest.(check bool) "the Accept's size counts the full bytes" true
+              (msg_size
+                 (Accept { ballot = e.ballot; instance = e.instance; proposal = e.proposal })
+              >= String.length s)
           | Delta _ | Witness _ ->
             Alcotest.fail "diffless service must fall back to Full shipping")
         entries)

@@ -16,6 +16,10 @@ module Kv = Grid_services.Kv_store
 module M = Grid_shard.Multi.Make (Kv)
 open Grid_paxos.Types
 
+let pp_rresult ppf = function
+  | M.R_committed -> Format.pp_print_string ppf "committed"
+  | M.R_aborted r -> Format.fprintf ppf "aborted: %s" r
+
 (* Three groups over explicit cut points in footprint space
    ("kv/" ^ key): shard 0 owns [-inf, "kv/h"), shard 1 ["kv/h", "kv/p"),
    shard 2 ["kv/p", +inf). The tests below split shard 0 at "kv/f",
@@ -94,7 +98,7 @@ let test_split_happy_path () =
   wait ~what:"split" t (fun () -> !result <> None);
   (match !result with
   | Some M.R_committed -> ()
-  | Some r -> Alcotest.failf "split: %a" M.pp_rresult r
+  | Some r -> Alcotest.failf "split: %a" pp_rresult r
   | None -> assert false);
   (* The router adopted the successor map at the source's commit. *)
   Alcotest.(check int) "map epoch advanced" 1 (Partition.epoch (M.partition t));
@@ -244,7 +248,7 @@ let test_coordinator_crash_after_freeze () =
   wait ~what:"retried split" t (fun () -> !result <> None);
   (match !result with
   | Some M.R_committed -> ()
-  | Some r -> Alcotest.failf "retried split: %a" M.pp_rresult r
+  | Some r -> Alcotest.failf "retried split: %a" pp_rresult r
   | None -> assert false);
   Alcotest.(check bool) "retry used a fresh epoch" true
     (Partition.epoch (M.partition t) > e);
@@ -422,7 +426,7 @@ let test_merge_paths () =
     wait ~what t (fun () -> !result <> None);
     match !result with
     | Some M.R_committed -> ()
-    | Some r -> Alcotest.failf "%s: %a" what M.pp_rresult r
+    | Some r -> Alcotest.failf "%s: %a" what pp_rresult r
     | None -> assert false
   in
   run "split" (fun ~on_done -> M.split_shard t coord ~cut ~target:1 ~on_done);
@@ -437,7 +441,7 @@ let test_merge_paths () =
        fired := true;
        match r with
        | M.R_committed -> ()
-       | r -> Alcotest.failf "trivial merge: %a" M.pp_rresult r)
+       | r -> Alcotest.failf "trivial merge: %a" pp_rresult r)
    with
   | Ok () -> ()
   | Error e -> Alcotest.failf "trivial merge plan: %a" Partition.pp_reshard_error e);

@@ -295,13 +295,25 @@ let test_sched_complete_and_reads () =
   let job, machine =
     match o.result with Sched.Scheduled (Some jm) -> jm | _ -> Alcotest.fail "sched"
   in
-  Alcotest.(check int) "machine loaded" 1 (Sched.machine_load o.state machine);
   (match (Sched.apply ~rng ~now:3.0 o.state (Sched.Assignment_of job)).result with
   | Sched.Assigned_to (Some m) -> Alcotest.(check int) "assignment read" machine m
   | _ -> Alcotest.fail "expected assignment");
-  let done_state = (Sched.apply ~rng ~now:4.0 o.state (Sched.Complete { job; machine })).state in
-  Alcotest.(check int) "machine freed" 0 (Sched.machine_load done_state machine);
-  match (Sched.apply ~rng ~now:5.0 done_state Sched.Queue_length).result with
+  (* Examine picks a least-loaded machine, so machine loads show in the
+     choices: submit and schedule one job, returning its machine. *)
+  let place s job =
+    let s = (Sched.apply ~rng ~now:4.0 s (Sched.Submit { job; priority = 0 })).state in
+    let o = Sched.apply ~rng ~now:5.0 s Sched.Examine in
+    match o.result with
+    | Sched.Scheduled (Some (_, m)) -> (o.state, m)
+    | _ -> Alcotest.fail "sched"
+  in
+  let s, m2 = place o.state 2 in
+  let s, m3 = place s 3 in
+  Alcotest.(check bool) "machine loaded" true (m2 <> machine && m3 <> machine);
+  let done_state = (Sched.apply ~rng ~now:6.0 s (Sched.Complete { job; machine })).state in
+  let done_state, m4 = place done_state 4 in
+  Alcotest.(check int) "machine freed" machine m4;
+  match (Sched.apply ~rng ~now:7.0 done_state Sched.Queue_length).result with
   | Sched.Length 0 -> ()
   | _ -> Alcotest.fail "queue should be empty"
 

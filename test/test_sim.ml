@@ -293,16 +293,22 @@ let test_network_broadcast () =
 
 let test_fault_schedule () =
   let eng, net = mk_net () in
-  Network.add_node net ~id:0 (fun ~src:_ _ -> ());
+  let got = ref 0 in
+  Network.add_node net ~id:0 (fun ~src:_ _ -> incr got);
+  Network.add_node net ~id:1 (fun ~src:_ _ -> ());
+  Network.set_link net ~src:1 ~dst:0 (Constant 0.5);
   Fault.install net
     [
       { at = 5.0; event = Crash 0 };
       { at = 10.0; event = Recover 0 };
     ];
-  Engine.run ~until:6.0 eng;
-  Alcotest.(check bool) "down at 6" false (Network.is_up net 0);
-  Engine.run ~until:11.0 eng;
-  Alcotest.(check bool) "up at 11" true (Network.is_up net 0)
+  (* A message to node 0 arriving at 6.5 is dropped; one at 11.5 lands. *)
+  ignore (Engine.schedule_at eng ~time:6.0 (fun () -> Network.send net ~src:1 ~dst:0 "down"));
+  Engine.run ~until:8.0 eng;
+  Alcotest.(check int) "down at 6" 0 !got;
+  ignore (Engine.schedule_at eng ~time:11.0 (fun () -> Network.send net ~src:1 ~dst:0 "up"));
+  Engine.run ~until:12.0 eng;
+  Alcotest.(check int) "up at 11" 1 !got
 
 let test_fault_periodic () =
   let entries =
@@ -321,13 +327,12 @@ let test_fault_periodic () =
 let test_trace () =
   let tr = Recorder.create ~capacity:3 ~enabled:true () in
   Recorder.note tr ~time:1.0 ~actor:"a" "one";
-  Recorder.notef tr ~time:2.0 ~actor:"b" "two %d" 2;
+  Recorder.note tr ~time:2.0 ~actor:"b" "two";
   Recorder.note tr ~time:3.0 ~actor:"c" "three";
   Recorder.note tr ~time:4.0 ~actor:"d" "four";
   Alcotest.(check int) "bounded" 3 (List.length (Recorder.events tr));
   let disabled = Recorder.create ~enabled:false () in
   Recorder.note disabled ~time:1.0 ~actor:"x" "ignored";
-  Recorder.notef disabled ~time:1.0 ~actor:"x" "ignored %d" 1;
   Alcotest.(check int) "disabled records nothing" 0 (List.length (Recorder.events disabled))
 
 let suite =

@@ -166,7 +166,8 @@ let test_stress_leased_reads_under_drift () =
   in
   let summary =
     Stress.run ~schedules:220 ~base_seed:1 ~steps:1_200
-      ~nemesis:Stress.lease_nemesis ~cfg_tweak ()
+      ~nemesis:{ Stress.default_nemesis with drift_prob = 0.005; drift_max_ms = 2.0 }
+      ~cfg_tweak ()
   in
   Alcotest.(check int) "schedules run" 220 summary.schedules;
   if summary.failures <> [] then fail_with summary.failures;

@@ -6,19 +6,25 @@
 module Watchdog = Grid_obs.Watchdog
 module Metrics = Grid_obs.Metrics
 
+(* A sink and the names of the checks it has fired, oldest first. *)
+let recording () =
+  let fired = ref [] in
+  let t = Watchdog.create ~on_violation:(fun ~check ~detail:_ -> fired := check :: !fired) () in
+  (t, fun () -> List.rev !fired)
+
 let test_dup_commit () =
-  let t = Watchdog.create () in
+  let t, fired = recording () in
   let m = Watchdog.monitor t ~actor:"r0" in
   Watchdog.record_commit m ~client:1 ~seq:1 ~instance:4;
   (* A retransmitted learn of the same instance is not a duplicate. *)
   Watchdog.record_commit m ~client:1 ~seq:1 ~instance:4;
   Alcotest.(check int) "same instance re-learned" 0 (Watchdog.violations t);
   Watchdog.record_commit m ~client:1 ~seq:1 ~instance:9;
-  Alcotest.(check int) "different instance fires" 1 (Watchdog.dup_commits t);
+  Alcotest.(check (list string)) "different instance fires" [ "dup_commit" ] (fired ());
   Alcotest.(check int) "total counted" 1 (Watchdog.violations t)
 
 let test_seed_commit_is_unchecked () =
-  let t = Watchdog.create () in
+  let t, fired = recording () in
   let m = Watchdog.monitor t ~actor:"r0" in
   (* Recovery replay seeds the table without flagging... *)
   Watchdog.seed_commit m ~client:2 ~seq:3 ~instance:7;
@@ -26,28 +32,28 @@ let test_seed_commit_is_unchecked () =
   Alcotest.(check int) "replayed commit silent" 0 (Watchdog.violations t);
   (* ...but still arms the dup check for a later conflicting commit. *)
   Watchdog.record_commit m ~client:2 ~seq:3 ~instance:8;
-  Alcotest.(check int) "post-recovery dup caught" 1 (Watchdog.dup_commits t)
+  Alcotest.(check (list string)) "post-recovery dup caught" [ "dup_commit" ] (fired ())
 
 let test_lost_ack () =
-  let t = Watchdog.create () in
+  let t, fired = recording () in
   let m = Watchdog.monitor t ~actor:"r0" in
   Watchdog.record_commit m ~client:1 ~seq:1 ~instance:0;
   Watchdog.write_acked m ~client:1 ~seq:1;
   Alcotest.(check int) "committed ack silent" 0 (Watchdog.violations t);
   Watchdog.write_acked m ~client:1 ~seq:2;
-  Alcotest.(check int) "uncommitted ack fires" 1 (Watchdog.lost_acks t)
+  Alcotest.(check (list string)) "uncommitted ack fires" [ "lost_ack" ] (fired ())
 
 let test_stale_read () =
-  let t = Watchdog.create () in
+  let t, fired = recording () in
   let m = Watchdog.monitor t ~actor:"r0" in
   Watchdog.read_replied m ~client:1 ~seq:1 ~watermark:5 ~exec_point:5;
   Watchdog.read_replied m ~client:1 ~seq:2 ~watermark:5 ~exec_point:8;
   Alcotest.(check int) "reads at/after watermark silent" 0 (Watchdog.violations t);
   Watchdog.read_replied m ~client:1 ~seq:3 ~watermark:5 ~exec_point:4;
-  Alcotest.(check int) "read below watermark fires" 1 (Watchdog.stale_reads t)
+  Alcotest.(check (list string)) "read below watermark fires" [ "stale_read" ] (fired ())
 
 let test_lease_mutual_exclusion () =
-  let t = Watchdog.create () in
+  let t, fired = recording () in
   let r0 = Watchdog.monitor t ~actor:"r0" in
   let r1 = Watchdog.monitor t ~actor:"r1" in
   Watchdog.lease_claimed r0 ~now:0.0 ~until:100.0 ~slack_ms:4.0;
@@ -59,10 +65,10 @@ let test_lease_mutual_exclusion () =
   Alcotest.(check int) "post-expiry handover" 0 (Watchdog.violations t);
   (* A third claim by r0 while r1's window is live is the violation. *)
   Watchdog.lease_claimed r0 ~now:150.0 ~until:220.0 ~slack_ms:4.0;
-  Alcotest.(check int) "overlapping claim fires" 1 (Watchdog.lease_conflicts t)
+  Alcotest.(check (list string)) "overlapping claim fires" [ "lease_conflict" ] (fired ())
 
 let test_lease_groups_are_independent () =
-  let t = Watchdog.create () in
+  let t, fired = recording () in
   let s0 = Watchdog.monitor t ~actor:"s0/r0" in
   let s1 = Watchdog.monitor t ~actor:"s1/r2" in
   (* Two shards lease concurrently: different groups, no conflict. *)
@@ -72,7 +78,7 @@ let test_lease_groups_are_independent () =
   (* Within one shard the exclusion still holds. *)
   let s0' = Watchdog.monitor t ~actor:"s0/r1" in
   Watchdog.lease_claimed s0' ~now:10.0 ~until:100.0 ~slack_ms:4.0;
-  Alcotest.(check int) "same-shard overlap fires" 1 (Watchdog.lease_conflicts t)
+  Alcotest.(check (list string)) "same-shard overlap fires" [ "lease_conflict" ] (fired ())
 
 let test_fail_stop_and_callback () =
   let seen = ref [] in
